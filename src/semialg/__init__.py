@@ -1,7 +1,7 @@
 """Exact arithmetic for numerical semigroups and their gap polynomials.
 
 Subpackages:
-    semigroup_core    membership tables, Frobenius number, genus, witnesses
+    semigroup_core    Apery sets, membership, Frobenius number, genus, witnesses
     gap_polynomials   f_A(q), reciprocals, the functional equation
     bivariate_algebra lex division and the monomial-map kernel
     graded_hilbert    denumerants, graded dimensions, Hilbert series

@@ -275,7 +275,12 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse term starting at {ch!r}", pos + 1)
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        if s[m.end() - 1] == "*":
+            raise ParseError("dangling '*' at end of term", m.end())
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {m.group('coeff')!r}", pos + 1) from None
         xi = int(m.group("xi")) if m.group("xi") else (1 if "x" in s[pos : m.end()] else 0)
         yj = int(m.group("yj")) if m.group("yj") else (1 if "y" in s[pos : m.end()] else 0)
         triples.append((xi, yj, sign * coeff))

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 
 from . import bivariate_algebra as biv
 from . import gap_polynomials as gp
@@ -22,13 +23,18 @@ EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 
 
-def _emit(args, command: str, inputs: dict, result: dict, text_lines: list[str]) -> int:
+def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[], list[str]]) -> int:
+    """Print the JSON envelope, or the lines text_lines() builds; it is not called for --json."""
     if args.json:
         print(json.dumps({"command": command, "inputs": inputs, "result": result}, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
     return EXIT_OK
+
+
+def _gap_line(gaps) -> str:
+    return " ".join(map(str, gaps)) if gaps else "(none)"
 
 
 def _cmd_frobenius(args) -> int:
@@ -38,21 +44,27 @@ def _cmd_frobenius(args) -> int:
         "generators": list(A.elements),
         "frobenius": table.frobenius,
         "genus": table.genus,
-        "gap_count": len(table.gaps),
+        "gap_count": table.genus,
     }
-    lines = [f"frobenius={table.frobenius} genus={table.genus} gap_count={len(table.gaps)}"]
     if args.gaps:
         result["gaps"] = list(table.gaps)
-        lines.append("gaps: " + (" ".join(str(g) for g in table.gaps) if table.gaps else "(none)"))
     if args.witness is not None:
         rep = sc.represent_from_table(args.witness, table)
+        result["witness"] = None if rep is None else list(rep.coefficients)
+
+    def lines():
+        out = [f"frobenius={table.frobenius} genus={table.genus} gap_count={table.genus}"]
+        if args.gaps:
+            out.append("gaps: " + _gap_line(table.gaps))
+        if args.witness is None:
+            return out
         if rep is None:
-            result["witness"] = None
-            lines.append(f"witness({args.witness}): none (gap)")
+            out.append(f"witness({args.witness}): none (gap)")
         else:
-            result["witness"] = list(rep.coefficients)
             terms = " + ".join(f"{r}*{a}" for a, r in zip(A.elements, rep.coefficients))
-            lines.append(f"witness({args.witness}): r={list(rep.coefficients)} [{terms}]")
+            out.append(f"witness({args.witness}): r={list(rep.coefficients)} [{terms}]")
+        return out
+
     return _emit(args, "frobenius", {"generators": args.generators}, result, lines)
 
 
@@ -60,15 +72,17 @@ def _cmd_gaps(args) -> int:
     A = sc.validate_generators(args.generators)
     table = sc.build_table(A)
     result = {"generators": list(A.elements), "gaps": list(table.gaps), "genus": table.genus}
-    lines = [" ".join(str(g) for g in table.gaps) if table.gaps else "(none)"]
-    return _emit(args, "gaps", {"generators": args.generators}, result, lines)
+    inputs = {"generators": args.generators}
+    return _emit(args, "gaps", inputs, result, lambda: [_gap_line(table.gaps)])
 
 
 def _cmd_gap_poly(args) -> int:
     A = sc.validate_generators(args.generators)
-    f = gp.gap_polynomial(A)
-    result = {"generators": list(A.elements), "terms": gp.poly_to_json(f)}
-    return _emit(args, "gap-poly", {"generators": args.generators}, result, [str(f)])
+    # f_A has coefficient 1 at each gap, so its JSON terms are the gap list
+    terms = [[n, 1] for n in sc.build_table(A).gaps]
+    result = {"generators": list(A.elements), "terms": terms}
+    inputs = {"generators": args.generators}
+    return _emit(args, "gap-poly", inputs, result, lambda: [str(gp.gap_polynomial(A))])
 
 
 def _pair_checks(a: int, b: int) -> dict[str, bool]:
@@ -91,15 +105,19 @@ def _cmd_verify(args) -> int:
         ]
         passed = sum(1 for a, b in pairs if all(_pair_checks(a, b).values()))
         result = {"sweep": args.sweep, "pairs": len(pairs), "passed": passed}
-        lines = [f"{len(pairs)} pairs, {passed} PASS"]
-        code = _emit(args, "verify", {"sweep": args.sweep}, result, lines)
+        text = f"{len(pairs)} pairs, {passed} PASS"
+        code = _emit(args, "verify", {"sweep": args.sweep}, result, lambda: [text])
         return code if passed == len(pairs) else 1
     if args.a is None or args.b is None:
         raise ValueError("verify needs a pair a b, or --sweep B")
     checks = _pair_checks(args.a, args.b)
-    lines = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
-    code = _emit(args, "verify", {"a": args.a, "b": args.b}, checks, lines)
+    text = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
+    code = _emit(args, "verify", {"a": args.a, "b": args.b}, checks, lambda: text)
     return code if all(checks.values()) else 1
+
+
+def _verdict_line(verdicts: dict[str, bool]) -> str:
+    return " ".join(f"in_kernel({method})={str(ok).lower()}" for method, ok in verdicts.items())
 
 
 def _cmd_divide(args) -> int:
@@ -115,13 +133,11 @@ def _cmd_divide(args) -> int:
         "remainder": biv.bivariate_to_json(r),
         "in_kernel": verdicts,
     }
-    lines = [
-        f"divisor: {divisor}",
-        f"quotient: {q}",
-        f"remainder: {r}",
-        f"in_kernel(evaluate)={str(verdicts['evaluate']).lower()} in_kernel(divide)={str(verdicts['divide']).lower()}",
-    ]
-    return _emit(args, "divide", {"expr": args.expr, "a": args.a, "b": args.b}, result, lines)
+    inputs = {"expr": args.expr, "a": args.a, "b": args.b}
+    return _emit(
+        args, "divide", inputs, result,
+        lambda: [f"divisor: {divisor}", f"quotient: {q}", f"remainder: {r}", _verdict_line(verdicts)],
+    )
 
 
 def _cmd_kernel(args) -> int:
@@ -130,39 +146,37 @@ def _cmd_kernel(args) -> int:
         "evaluate": biv.in_kernel(g, args.a, args.b, "evaluate"),
         "divide": biv.in_kernel(g, args.a, args.b, "divide"),
     }
-    lines = [
-        f"in_kernel(evaluate)={str(verdicts['evaluate']).lower()} in_kernel(divide)={str(verdicts['divide']).lower()}"
-    ]
-    return _emit(args, "kernel", {"expr": args.expr, "a": args.a, "b": args.b}, verdicts, lines)
+    inputs = {"expr": args.expr, "a": args.a, "b": args.b}
+    return _emit(args, "kernel", inputs, verdicts, lambda: [_verdict_line(verdicts)])
 
 
 def _cmd_rank_nullity(args) -> int:
     order = args.order if args.order is not None else 3 * args.a * args.b
     ok = gh.rank_nullity_check(args.a, args.b, order)
     result = {"a": args.a, "b": args.b, "order": order, "holds": ok}
-    lines = [f"rank_nullity up to n={order}: {'PASS' if ok else 'FAIL'}"]
-    code = _emit(args, "rank-nullity", {"a": args.a, "b": args.b, "order": order}, result, lines)
+    text = f"rank_nullity up to n={order}: {'PASS' if ok else 'FAIL'}"
+    code = _emit(args, "rank-nullity", {"a": args.a, "b": args.b, "order": order}, result, lambda: [text])
     return code if ok else 1
 
 
-def _opt_int(value: str) -> int | None:
-    return None if value == "-" else int(value)
+def _opt_int(value: str, name: str) -> int | None:
+    if value == "-":
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"weight {name} must be an integer or '-', got {value!r}") from None
 
 
 def _cmd_hilbert(args) -> int:
     order = args.order if args.order is not None else args.n
     if order is None:
         raise ValueError("hilbert needs a truncation order (positional N or --order)")
-    a, b = _opt_int(args.a), _opt_int(args.b)
+    a, b = _opt_int(args.a, "a"), _opt_int(args.b, "b")
     series = gh.hilbert_series(args.which, a, b, order)
     result = {"which": args.which, "a": a, "b": b, **gh.series_to_json(series)}
-    return _emit(
-        args,
-        "hilbert",
-        {"which": args.which, "a": a, "b": b, "order": order},
-        result,
-        [str(series)],
-    )
+    inputs = {"which": args.which, "a": a, "b": b, "order": order}
+    return _emit(args, "hilbert", inputs, result, lambda: [str(series)])
 
 
 def build_parser() -> argparse.ArgumentParser:

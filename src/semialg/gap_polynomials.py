@@ -151,7 +151,7 @@ def g_polynomial(A: GeneratorSet) -> IntPolynomial:
     table = build_table(A)
     if not table.gaps:
         raise ValueError("g_A is undefined for gap-free semigroups (no Frobenius degree)")
-    return IntPolynomial(1 if table.member[n] else 0 for n in range(table.frobenius + 1))
+    return IntPolynomial(1 if table.is_member(n) else 0 for n in range(table.frobenius + 1))
 
 
 def verify_functional_equation(a: int, b: int) -> bool:
@@ -172,7 +172,8 @@ def frobenius_from_degree(a: int, b: int) -> int:
     """deg f_A for A = {a,b}; the degree argument forces this to be ab - a - b."""
     A = _coprime_pair(a, b)
     d = gap_polynomial(A).degree
-    assert d == a * b - a - b, f"degree {d} != {a * b - a - b} for ({a},{b})"
+    if d != a * b - a - b:
+        raise RuntimeError(f"degree {d} != {a * b - a - b} for ({a},{b})")
     return d
 
 
@@ -202,7 +203,7 @@ def epsilon_symmetry_violations(A: GeneratorSet) -> list[int]:
     if not table.gaps:
         raise ValueError("symmetry indicators need at least one gap")
     F = table.frobenius
-    return [n for n in range(F + 1) if table.member[n] == table.member[F - n]]
+    return [n for n in range(F + 1) if table.is_member(n) == table.is_member(F - n)]
 
 
 def poly_to_json(f: IntPolynomial) -> list[list]:

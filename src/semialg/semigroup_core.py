@@ -1,4 +1,4 @@
-"""Numerical semigroups: membership tables, gaps, Frobenius number, genus.
+"""Numerical semigroups: Apery sets, membership, gaps, Frobenius number, genus.
 
 All arithmetic is exact (Python ints). Every object is immutable after
 construction and every function is pure, so everything here is safe to use
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 DEFAULT_MAX_BOUND = 10**7
 
@@ -23,11 +25,17 @@ class NotNumericalSemigroupError(ValueError):
 
 
 class BoundTooLargeError(ValueError):
-    """Raised when a membership table would exceed the configured cell cap."""
+    """Raised when the conductor-bound table size would exceed the configured cap."""
 
 
 def _max_bound() -> int:
-    return int(os.environ.get("SEMIGROUP_MAX_BOUND", DEFAULT_MAX_BOUND))
+    raw = os.environ.get("SEMIGROUP_MAX_BOUND")
+    if raw is None:
+        return DEFAULT_MAX_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SEMIGROUP_MAX_BOUND must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -61,28 +69,36 @@ class Representation:
 
 @dataclass(frozen=True)
 class SemigroupTable:
-    """Membership bitmap of S(A) on 0..bound plus derived gap statistics.
+    """S(A) described by its Apery set with respect to a1 = min(A).
 
-    member[n] is True iff n is a nonnegative combination of the generators.
-    frobenius is -1 when S(A) has no gaps (i.e. 1 is a generator).
+    apery[r] is the least element of S(A) congruent to r mod a1, so n is in
+    S(A) iff n >= apery[n % a1]. frobenius is -1 when S(A) has no gaps
+    (i.e. 1 is a generator). bound is conductor_bound(A), kept as the size
+    measure SEMIGROUP_MAX_BOUND is checked against.
     """
 
     generators: GeneratorSet
     bound: int
-    member: tuple[bool, ...]
+    apery: tuple[int, ...]
     frobenius: int
     genus: int
-    gaps: tuple[int, ...]
-    # predecessor generator index per representable cell, for witness backtrace;
-    # extends past `bound` by max(A) cells so large n can be reduced into range
-    _pred: tuple[int, ...] = field(repr=False, default=())
+    # index of the generator on the last step of a shortest path to each
+    # residue, for witness backtrace; apery[0] = 0 has no step (-1)
+    _via: tuple[int, ...] = field(repr=False)
 
     def is_member(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n <= self.bound:
-            return self.member[n]
-        return True
+        # negative n never passes: apery values are nonnegative
+        return n >= self.apery[n % len(self.apery)]
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """The genus-many gaps in ascending order, built on first access."""
+        a1 = len(self.apery)
+        is_gap = bytearray(self.frobenius + 1)
+        for r, w in enumerate(self.apery):
+            # the gaps congruent to r are r, r + a1, ..., w - a1
+            is_gap[r:w:a1] = b"\x01" * ((w - r) // a1)
+        return tuple(compress(range(self.frobenius + 1), is_gap))
 
 
 def validate_generators(raw: list[int]) -> GeneratorSet:
@@ -111,36 +127,45 @@ def conductor_bound(A: GeneratorSet) -> int:
 
 
 def build_table(A: GeneratorSet) -> SemigroupTable:
-    """Forward-DP membership table of S(A) up to the conductor bound."""
+    """Apery set of S(A) by round-robin shortest paths over residues mod a1.
+
+    Residue r is a node; generator a_i is an edge r -> (r + a_i) mod a1 of
+    weight a_i, and apery[r] is the shortest distance from 0. Each generator
+    is added in one pass around every cycle it induces on the residues,
+    starting from the cycle's minimum, which is final (Boecker & Liptak,
+    2007). Time O(k * a1), memory O(a1).
+    """
     A.require_coprime()
     bound = conductor_bound(A)
-    extended = bound + max(A.elements)
-    if extended + 1 > _max_bound():
-        raise BoundTooLargeError(
-            f"table of {extended + 1} cells exceeds SEMIGROUP_MAX_BOUND={_max_bound()}"
-        )
+    cells = bound + max(A.elements) + 1
+    cap = _max_bound()
+    if cells > cap:
+        raise BoundTooLargeError(f"table of {cells} cells exceeds SEMIGROUP_MAX_BOUND={cap}")
 
-    member = [False] * (extended + 1)
-    pred = [-1] * (extended + 1)
-    member[0] = True
-    for n in range(extended + 1):
-        if not member[n]:
-            continue
-        for idx, a in enumerate(A.elements):
-            if n + a <= extended and not member[n + a]:
-                member[n + a] = True
-                pred[n + a] = idx
+    a1 = A.elements[0]
+    dist = [math.inf] * a1
+    via = [-1] * a1
+    dist[0] = 0
+    for idx in range(1, A.k):
+        a = A.elements[idx]
+        d = math.gcd(a1, a)
+        for p in range(d):
+            r = min(range(p, a1, d), key=dist.__getitem__)
+            for _ in range(a1 // d - 1):
+                nxt = (r + a) % a1
+                if dist[r] + a < dist[nxt]:
+                    dist[nxt] = dist[r] + a
+                    via[nxt] = idx
+                r = nxt
 
-    gaps = tuple(n for n in range(bound + 1) if not member[n])
-    frobenius = gaps[-1] if gaps else -1
+    apery = tuple(dist)
     return SemigroupTable(
         generators=A,
         bound=bound,
-        member=tuple(member[: bound + 1]),
-        frobenius=frobenius,
-        genus=len(gaps),
-        gaps=gaps,
-        _pred=tuple(pred),
+        apery=apery,
+        frobenius=max(apery) - a1,
+        genus=sum(w // a1 for w in apery),
+        _via=tuple(via),
     )
 
 
@@ -160,10 +185,8 @@ def is_symmetric(A: GeneratorSet) -> bool:
     Gap-free semigroups are symmetric by vacuity.
     """
     table = build_table(A)
-    if table.frobenius == -1:
-        return True
     F = table.frobenius
-    return all(table.member[n] != table.member[F - n] for n in range(F + 1))
+    return all(table.is_member(n) != table.is_member(F - n) for n in range(F + 1))
 
 
 def represent(n: int, A: GeneratorSet) -> Representation | None:
@@ -173,25 +196,21 @@ def represent(n: int, A: GeneratorSet) -> Representation | None:
 
 
 def represent_from_table(n: int, table: SemigroupTable) -> Representation | None:
-    """Like represent(), reusing an already-built table."""
-    if n < 0:
+    """Like represent(), reusing an already-built table.
+
+    n = apery[r] + t * a1 with r = n mod a1; apery[r] is spelled out by
+    walking its shortest path back to residue 0, which visits each residue
+    at most once. The cost is O(k + a1) whatever the size of n.
+    """
+    if not table.is_member(n):
         return None
     A = table.generators
+    a1 = A.elements[0]
+    r = n % a1
     coeffs = [0] * A.k
-    extended = len(table._pred) - 1
-    if n > extended:
-        # reduce by the smallest generator into the guaranteed-member range
-        # [bound, bound + a_1); everything at or above bound is representable
-        a1 = A.elements[0]
-        steps = (n - table.bound) // a1
-        coeffs[0] += steps
-        n -= steps * a1
-    if n > table.bound:
-        pass  # still within the extended backtrace range
-    elif not table.member[n]:
-        return None
-    while n > 0:
-        idx = table._pred[n]
+    coeffs[0] = (n - table.apery[r]) // a1
+    while r:
+        idx = table._via[r]
         coeffs[idx] += 1
-        n -= A.elements[idx]
+        r = (r - A.elements[idx]) % a1
     return Representation(coefficients=tuple(coeffs))

@@ -1,7 +1,7 @@
 """Independent brute-force oracles, kept deliberately naive.
 
-Nothing here shares code with the library's DP/polynomial paths; these
-are the reference enumerations the real implementations are checked
+Nothing here shares code with the library's Apery-set/polynomial paths;
+these are the reference enumerations the real implementations are checked
 against.
 """
 
@@ -41,3 +41,21 @@ def naive_partition_count(a, b, n):
             if a * i + b * j == n:
                 count += 1
     return count
+
+
+def forward_dp_members(generators):
+    """Membership on 0..bound + max(A) by the forward DP the library once used.
+
+    bound = (a_k - 1) * sum(a_1..a_{k-1}) is the conductor bound. Each member
+    n marks n + a for every generator a.
+    """
+    gs = sorted(set(generators))
+    extended = (gs[-1] - 1) * sum(gs[:-1]) + gs[-1]
+    member = [False] * (extended + 1)
+    member[0] = True
+    for n in range(extended + 1):
+        if member[n]:
+            for a in gs:
+                if n + a <= extended:
+                    member[n + a] = True
+    return member

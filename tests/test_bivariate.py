@@ -206,6 +206,21 @@ class TestParser:
         with pytest.raises(biv.ParseError):
             biv.parse_bivariate("x +")
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("3*", 2), ("x*", 2), ("x^2*", 4), ("y + 2*x*", 8), ("x - 3*", 6)],
+    )
+    def test_trailing_star_reported_at_its_column(self, text, column):
+        with pytest.raises(biv.ParseError, match="dangling") as exc:
+            biv.parse_bivariate(text)
+        assert exc.value.column == column
+
+    @pytest.mark.parametrize("text, column", [("1/0*x", 1), ("y + 3/0", 5)])
+    def test_zero_denominator(self, text, column):
+        with pytest.raises(biv.ParseError, match="zero denominator") as exc:
+            biv.parse_bivariate(text)
+        assert exc.value.column == column
+
     def test_printer_descending_lex(self):
         g = bp((0, 2, 1), (3, 0, 1), (1, 1, -2))
         assert str(g) == "x^3 - 2*x*y + y^2"

@@ -30,6 +30,31 @@ class TestFrobeniusCommand:
         assert code == 2
         assert "gcd(A)=2, not a numerical semigroup" in err
 
+    def test_non_integer_max_bound_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "abc")
+        code, out, err = run(capsys, "frobenius", "3", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: SEMIGROUP_MAX_BOUND must be an integer, got 'abc'\n"
+
+    def test_over_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        code, _, err = run(capsys, "frobenius", "3163", "3167", "--json")
+        assert code == 2
+        assert err == "error: table of 10017226 cells exceeds SEMIGROUP_MAX_BOUND=10000000\n"
+
+    def test_witness_of_huge_n(self, capsys):
+        n = 10**12 + 3
+        code, out, _ = run(capsys, "frobenius", "1009", "1013", "1019", "--witness", str(n), "--json")
+        assert code == 0
+        r = json.loads(out)["result"]["witness"]
+        assert min(r) >= 0 and 1009 * r[0] + 1013 * r[1] + 1019 * r[2] == n
+
+    def test_gap_count_is_genus(self, capsys):
+        code, out, _ = run(capsys, "frobenius", "4", "7", "9", "--json")
+        result = json.loads(out)["result"]
+        assert result["gap_count"] == result["genus"] == len(sc.build_table(sc.validate_generators([4, 7, 9])).gaps)
+
     def test_gaps_and_witness(self, capsys):
         code, out, _ = run(capsys, "frobenius", "3", "5", "--gaps", "--witness", "8")
         assert code == 0
@@ -61,6 +86,14 @@ class TestGapsAndGapPoly:
         payload = json.loads(out)
         f = gp.gap_polynomial(sc.validate_generators([3, 5]))
         assert payload["result"]["terms"] == [list(t) for t in gp.poly_to_json(f)]
+
+    @pytest.mark.parametrize("gens", [["1"], ["1", "7"], ["2", "3"], ["4", "7", "9"], ["6", "10", "15"]])
+    def test_gap_poly_json_matches_dense_polynomial(self, capsys, gens):
+        _, out, _ = run(capsys, "gap-poly", *gens, "--json")
+        f = gp.gap_polynomial(sc.validate_generators([int(a) for a in gens]))
+        assert json.loads(out)["result"]["terms"] == gp.poly_to_json(f)
+        _, out, _ = run(capsys, "gap-poly", *gens)
+        assert out == f"{f}\n"
 
 
 class TestVerifyCommand:
@@ -123,6 +156,20 @@ class TestDivideAndKernel:
         assert code == 3
         assert "column 7" in err
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("1/0*x", "zero denominator in '1/0' (column 1)"),
+            ("3*", "dangling '*' at end of term (column 2)"),
+            ("x*", "dangling '*' at end of term (column 2)"),
+        ],
+    )
+    def test_bad_expression_exit_3_one_line(self, capsys, expr, message):
+        code, out, err = run(capsys, "kernel", expr, "2", "3")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestHilbertCommand:
     def test_semigroup_ring(self, capsys):
@@ -146,6 +193,12 @@ class TestHilbertCommand:
     def test_missing_order_exit_2(self, capsys):
         code, _, err = run(capsys, "hilbert", "univariate", "-", "-")
         assert code == 2
+
+    def test_non_integer_weight_exit_2(self, capsys):
+        code, out, err = run(capsys, "hilbert", "kernel", "3", "x", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: weight b must be an integer or '-', got 'x'\n"
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, "hilbert", "kernel", "3", "5", "25", "--json")

@@ -146,6 +146,11 @@ class TestFrobeniusFromDegree:
                 if math.gcd(a, b) == 1:
                     assert gp.frobenius_from_degree(a, b) == a * b - a - b
 
+    def test_wrong_degree_raises(self, monkeypatch):
+        monkeypatch.setattr(gp, "gap_polynomial", lambda A: P.monomial(3))
+        with pytest.raises(RuntimeError, match="degree 3 != 7"):
+            gp.frobenius_from_degree(3, 5)
+
 
 class TestEpsilonSymmetry:
     def test_examples(self):

@@ -130,6 +130,15 @@ class TestHilbertSeries:
             expected = full.coefficients[n - 15] if n >= 15 else 0
             assert kernel.coefficients[n] == expected
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 31])
+    def test_closed_forms_match_dense_products(self, order):
+        g1 = TS.geometric(1, order)
+        assert gh.hilbert_series("full_ring_degree", None, None, order) == g1 * g1
+        for a, b in [(2, 3), (3, 5), (4, 7)]:
+            product = TS.geometric(a, order) * TS.geometric(b, order)
+            assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product
+            assert gh.hilbert_series("kernel", a, b, order) == product.shift(a * b)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             gh.hilbert_series("bogus", 3, 5, 10)

@@ -5,7 +5,7 @@ import pytest
 
 from semialg import semigroup_core as sc
 
-from oracles import naive_gaps, naive_members
+from oracles import forward_dp_members, naive_gaps, naive_members
 
 
 def gens(*xs):
@@ -73,13 +73,13 @@ class TestBuildTable:
 
     def test_invariants_hold(self):
         t = sc.build_table(gens(4, 7, 9))
-        assert t.member[0]
+        assert t.is_member(0)
         for n in range(t.bound + 1):
-            if t.member[n]:
+            if t.is_member(n):
                 for a in t.generators.elements:
                     if n + a <= t.bound:
-                        assert t.member[n + a]
-        assert all(t.member[n] for n in range(t.frobenius + 1, t.bound + 1))
+                        assert t.is_member(n + a)
+        assert all(t.is_member(n) for n in range(t.frobenius + 1, t.bound + 1))
         assert t.genus >= (t.frobenius + 1) / 2
 
     def test_oracle_equivalence_pairs(self):
@@ -88,12 +88,80 @@ class TestBuildTable:
                 if math.gcd(a, b) != 1:
                     continue
                 t = sc.build_table(gens(a, b))
-                assert list(t.member) == naive_members((a, b), t.bound)
+                assert [t.is_member(n) for n in range(t.bound + 1)] == naive_members((a, b), t.bound)
 
     def test_max_bound_cap(self, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "10")
         with pytest.raises(sc.BoundTooLargeError):
             sc.build_table(gens(3, 5))
+
+    @pytest.mark.parametrize(
+        "elements, cells",
+        [((3163, 3167), 10_017_226), ((2503, 2521, 2531), 12_713_252)],
+    )
+    def test_over_cap_message(self, monkeypatch, elements, cells):
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        with pytest.raises(sc.BoundTooLargeError) as exc:
+            sc.build_table(gens(*elements))
+        assert str(exc.value) == f"table of {cells} cells exceeds SEMIGROUP_MAX_BOUND=10000000"
+
+    def test_non_integer_max_bound(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "abc")
+        with pytest.raises(ValueError, match="SEMIGROUP_MAX_BOUND must be an integer, got 'abc'"):
+            sc.build_table(gens(3, 5))
+
+    def test_apery_set(self):
+        # Ap(S, a) = {0, b, 2b, ..., (a-1)b} for A = {a, b}, indexed by residue mod a
+        t = sc.build_table(gens(5, 7))
+        assert sorted(t.apery) == [0, 7, 14, 21, 28]
+        assert all(w % 5 == r for r, w in enumerate(t.apery))
+        assert sc.build_table(gens(1)).apery == (0,)
+
+    def test_negative_not_member(self):
+        t = sc.build_table(gens(3, 5))
+        assert not any(t.is_member(n) for n in range(-20, 0))
+        assert sc.represent_from_table(-3, t) is None
+
+
+def seeded_sets(seed, count):
+    """count coprime sets with k = 2..5; larger k draws from smaller generators."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        k = rng.randint(2, 5)
+        elements = rng.sample(range(2, 31 if k <= 3 else 15), k)
+        if math.gcd(*elements) == 1:
+            sets.append(tuple(sorted(elements)))
+    return sets
+
+
+class TestAperyAgainstOracles:
+    """The Apery-set table against brute force and the old forward DP."""
+
+    @pytest.mark.parametrize("elements", [(1,), (1, 7), (2, 3)] + seeded_sets(2024, 40))
+    def test_against_brute_force_and_forward_dp(self, elements):
+        A = gens(*elements)
+        t = sc.build_table(A)
+        limit = t.bound + 2 * max(elements)
+        member = naive_members(elements, limit)
+        dp = forward_dp_members(elements)
+        assert member[: len(dp)] == dp
+        gaps = [n for n in range(limit + 1) if not member[n]]
+        assert t.frobenius == (gaps[-1] if gaps else -1)
+        assert t.genus == len(gaps)
+        assert t.gaps == tuple(gaps)
+        assert [t.is_member(n) for n in range(limit + 1)] == member
+        for n in range(limit + 1):
+            rep = sc.represent_from_table(n, t)
+            if member[n]:
+                assert rep is not None and rep.value(A) == n
+                assert all(c >= 0 for c in rep.coefficients)
+            else:
+                assert rep is None
+        for n in (10**12, 10**12 + 1, 10**12 + max(elements) - 1):
+            rep = sc.represent_from_table(n, t)
+            assert rep is not None and rep.value(A) == n
+            assert all(c >= 0 for c in rep.coefficients)
 
 
 class TestSharpSylvester:
@@ -147,7 +215,7 @@ class TestRepresent:
             t = sc.build_table(A)
             for n in range(t.bound + 1):
                 rep = sc.represent_from_table(n, t)
-                if t.member[n]:
+                if t.is_member(n):
                     assert rep is not None
                     assert rep.value(A) == n
                 else:
@@ -172,7 +240,7 @@ class TestRepresent:
             A = gens(*elements)
             t = sc.build_table(A)
             assert t.frobenius <= t.bound - 1
-            assert list(t.member) == naive_members(A.elements, t.bound)
+            assert [t.is_member(n) for n in range(t.bound + 1)] == naive_members(A.elements, t.bound)
             assert t.gaps == tuple(naive_gaps(A.elements, t.bound))
             rep = sc.represent_from_table(t.bound, t)
             assert rep is not None and rep.value(A) == t.bound
