@@ -7,6 +7,7 @@ x -> t^a, y -> t^b, and two independent membership tests for its kernel
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -42,9 +43,10 @@ class BivariatePolynomial:
         cleaned = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    cleaned[Monomial2(*m)] = c
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
+                    cleaned[m if type(m) is Monomial2 else Monomial2(*m)] = c
         self.terms = cleaned
 
     @classmethod
@@ -56,7 +58,7 @@ class BivariatePolynomial:
         terms: dict[Monomial2, Fraction] = {}
         for i, j, c in triples:
             m = Monomial2(i, j)
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(c)
+            terms[m] = terms[m] + c if m in terms else c
         return cls(terms)
 
     @classmethod
@@ -98,15 +100,6 @@ class BivariatePolynomial:
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
         return BivariatePolynomial(terms)
 
-    def scale(self, c) -> "BivariatePolynomial":
-        return BivariatePolynomial({m: cf * Fraction(c) for m, cf in self.terms.items()})
-
-    def term_shift(self, m: Monomial2, c: Fraction) -> "BivariatePolynomial":
-        """Multiply by the single term c * x^m.i * y^m.j."""
-        return BivariatePolynomial(
-            {Monomial2(k.i + m.i, k.j + m.j): cf * c for k, cf in self.terms.items()}
-        )
-
     def sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
         """Terms in lex-descending order (deterministic printing)."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -147,28 +140,43 @@ def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
     """Single-divisor lex reduction: g = quotient*f + remainder.
 
     No monomial of the remainder is divisible by the leading monomial of f.
-    Each step retires the current lex-largest unprocessed term, so the loop
-    terminates.
+    Work terms sit in one dict keyed by (-i, -j); a heap of those keys pops
+    the lex-largest first. Each popped term either becomes a quotient term,
+    with c/lc(f) times the tail of f subtracted in place, or moves to the
+    remainder. The tail only adds lex-smaller monomials, so each enters the
+    heap once and a step costs O(|f| log n).
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     lm_f = leading_monomial(f)
     lc_f = f.terms[lm_f]
+    # Tail terms as (offset from lm_f in negated exponents, -c / lc(f)).
+    tail = [
+        (lm_f.i - m.i, lm_f.j - m.j, -c / lc_f) for m, c in f.terms.items() if m != lm_f
+    ]
 
-    work = g
+    work = {(-m.i, -m.j): c for m, c in g.terms.items()}
+    heap = list(work)
+    heapq.heapify(heap)
     quotient: dict[Monomial2, Fraction] = {}
     remainder: dict[Monomial2, Fraction] = {}
-    while not work.is_zero():
-        lm = leading_monomial(work)
-        c = work.terms[lm]
-        if lm_f.divides(lm):
-            shift = Monomial2(lm.i - lm_f.i, lm.j - lm_f.j)
-            factor = c / lc_f
-            quotient[shift] = quotient.get(shift, Fraction(0)) + factor
-            work = work - f.term_shift(shift, factor)
+    while heap:
+        key = heapq.heappop(heap)
+        c = work.pop(key)
+        if not c:
+            continue
+        ni, nj = key
+        if lm_f.i <= -ni and lm_f.j <= -nj:
+            quotient[Monomial2(-ni - lm_f.i, -nj - lm_f.j)] = c / lc_f
+            for di, dj, t in tail:
+                k = (ni + di, nj + dj)
+                if k in work:
+                    work[k] += c * t
+                else:
+                    work[k] = c * t
+                    heapq.heappush(heap, k)
         else:
-            remainder[lm] = c
-            work = work - BivariatePolynomial({lm: c})
+            remainder[Monomial2(-ni, -nj)] = c
     return DivisionResult(BivariatePolynomial(quotient), BivariatePolynomial(remainder))
 
 
@@ -179,7 +187,7 @@ def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> IntPolynomial:
     coeffs: dict[int, Fraction] = {}
     for m, c in g.terms.items():
         n = a * m.i + b * m.j
-        coeffs[n] = coeffs.get(n, Fraction(0)) + c
+        coeffs[n] = coeffs[n] + c if n in coeffs else c
     if not coeffs:
         return IntPolynomial.zero()
     dense = [Fraction(0)] * (max(coeffs) + 1)
@@ -239,24 +247,26 @@ class ParseError(ValueError):
 
 _TERM_RE = re.compile(
     r"""
-    (?P<coeff>\d+(?:/\d+)?)? (?:(?<=\d)\*)?   # optional rational coefficient
-    (?:x(?:\^(?P<xi>\d+))?)? \*?              # optional x part
-    (?:y(?:\^(?P<yj>\d+))?)?                  # optional y part
+    (?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?   # optional rational coefficient
+    (?:(?P<x>x)(?:\^(?P<xi>\d+))?)? \*?                        # optional x part
+    (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
     """,
     re.VERBOSE,
 )
 
 
 def parse_bivariate(text: str) -> BivariatePolynomial:
-    """Parse terms like `3*x^2*y - 1/2*y^4 + 7` in any order."""
+    """Parse terms like `3*x^2*y - 1/2*y^4 + 7` in any order.
+
+    Only the first term may carry a leading '-'; a sign that follows another
+    sign (`x - -y`) is an error at the second sign.
+    """
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial expression", 1)
-    if s == "0":
-        return BivariatePolynomial.zero()
     triples = []
     pos = 0
-    sign = 1
+    negative = False
     expect_term = True
     while pos < len(s):
         ch = s[pos]
@@ -264,9 +274,12 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
             pos += 1
             continue
         if ch in "+-":
+            # s is stripped, so past column 1 only a sign leaves expect_term set.
+            if expect_term and pos:
+                raise ParseError(f"sign {ch!r} follows another sign", pos + 1)
             if expect_term and ch == "+":
                 raise ParseError("unexpected '+'", pos + 1)
-            sign = -sign if ch == "-" else sign
+            negative = ch == "-"
             pos += 1
             expect_term = True
             continue
@@ -277,15 +290,16 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
             raise ParseError(f"cannot parse term starting at {ch!r}", pos + 1)
         if s[m.end() - 1] == "*":
             raise ParseError("dangling '*' at end of term", m.end())
-        try:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {m.group('coeff')!r}", pos + 1) from None
-        xi = int(m.group("xi")) if m.group("xi") else (1 if "x" in s[pos : m.end()] else 0)
-        yj = int(m.group("yj")) if m.group("yj") else (1 if "y" in s[pos : m.end()] else 0)
-        triples.append((xi, yj, sign * coeff))
+        num, den, x, xi, y, yj = m.group("num", "den", "x", "xi", "y", "yj")
+        num = int(num) if num else 1
+        den = int(den) if den else 1
+        if not den:
+            raise ParseError(f"zero denominator in {m.group('coeff')!r}", pos + 1)
+        xi = int(xi) if xi else (1 if x else 0)
+        yj = int(yj) if yj else (1 if y else 0)
+        triples.append((xi, yj, Fraction(-num if negative else num, den)))
         pos = m.end()
-        sign = 1
+        negative = False
         expect_term = False
     if expect_term:
         raise ParseError("dangling operator at end of expression", len(s))

@@ -59,3 +59,17 @@ def forward_dp_members(generators):
                 if n + a <= extended:
                     member[n + a] = True
     return member
+
+
+def binomial_normal_form(terms, a, b):
+    """Remainder of g modulo x^b - y^a, by the closed form of the binomial.
+
+    Since x^b = y^a modulo the divisor, x^i y^j reduces to
+    x^(i mod b) y^(j + a*(i // b)), and no exponent of x is left >= b.
+    `terms` maps (i, j) to a coefficient; zero sums are dropped.
+    """
+    out = {}
+    for (i, j), c in terms.items():
+        key = (i % b, j + a * (i // b))
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c != 0}

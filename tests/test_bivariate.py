@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import binomial_normal_form
 from semialg import bivariate_algebra as biv
 
 B = biv.BivariatePolynomial
@@ -32,6 +33,27 @@ def random_coprime_pair(rng, hi=9):
         a, b = rng.randint(1, hi), rng.randint(1, hi)
         if a != b and math.gcd(a, b) == 1:
             return a, b
+
+
+nonzero_fractions = st.builds(Fraction, st.integers(-100, 100).filter(bool), st.integers(1, 60))
+
+
+def sparse_polys(max_terms=30, max_exp=12, min_terms=0):
+    return st.dictionaries(
+        st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
+        nonzero_fractions,
+        min_size=min_terms,
+        max_size=max_terms,
+    ).map(B)
+
+
+coprime_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
+    lambda p: p[0] != p[1] and math.gcd(*p) == 1
+)
+
+
+def as_dict(p):
+    return {(m.i, m.j): c for m, c in p.terms.items()}
 
 
 class TestMonomialOrder:
@@ -110,6 +132,71 @@ class TestDivide:
             assert q * f + r == g
             lm = biv.leading_monomial(f)
             assert all(not lm.divides(m) for m in r.terms)
+
+
+class TestDivideAgainstBinomialNormalForm:
+    """Division by x^b - y^a against the closed form in tests/oracles.py."""
+
+    @staticmethod
+    def check(g, a, b):
+        f = B.binomial_xb_minus_ya(a, b)
+        q, r = biv.divide(g, f)
+        assert as_dict(r) == binomial_normal_form(as_dict(g), a, b)
+        assert q * f + r == g
+        assert all(m.i < b for m in r.terms)
+
+    @given(sparse_polys(), coprime_pairs)
+    def test_random_inputs(self, g, pair):
+        self.check(g, *pair)
+
+    def test_1600_terms(self):
+        g = B.from_terms(
+            (i, j, Fraction(((7 * i + 3 * j) % 19 + 1) * (-1) ** (i + j), 1 + (i + j) % 4))
+            for i in range(40)
+            for j in range(40)
+        )
+        assert len(g.terms) == 1600
+        self.check(g, 3, 5)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestDivideAgainstSympy:
+    """Quotient and remainder against sympy.reduced(..., order='lex').
+
+    For one divisor the lex quotient and remainder are unique, so they must
+    agree term by term.
+    """
+
+    @staticmethod
+    def check(sympy, g, f):
+        x, y = sympy.symbols("x y")
+
+        def to_sympy(p):
+            return sympy.Add(
+                *(sympy.Rational(c.numerator, c.denominator) * x**m.i * y**m.j for m, c in p.terms.items())
+            )
+
+        def from_sympy(expr):
+            return {k: Fraction(int(c.p), int(c.q)) for k, c in sympy.Poly(expr, x, y).as_dict().items()}
+
+        quotients, remainder = sympy.reduced(to_sympy(g), [to_sympy(f)], x, y, order="lex")
+        q, r = biv.divide(g, f)
+        assert as_dict(q) == from_sympy(quotients[0] if quotients else 0)
+        assert as_dict(r) == from_sympy(remainder)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=sparse_polys(), pair=coprime_pairs)
+    def test_binomial_divisor(self, sympy, g, pair):
+        self.check(sympy, g, B.binomial_xb_minus_ya(*pair))
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=sparse_polys(max_terms=12, max_exp=8), f=sparse_polys(max_terms=4, max_exp=5, min_terms=2))
+    def test_general_divisor(self, sympy, g, f):
+        self.check(sympy, g, f)
 
 
 class TestPhiEvaluate:
@@ -218,6 +305,44 @@ class TestParser:
     @pytest.mark.parametrize("text, column", [("1/0*x", 1), ("y + 3/0", 5)])
     def test_zero_denominator(self, text, column):
         with pytest.raises(biv.ParseError, match="zero denominator") as exc:
+            biv.parse_bivariate(text)
+        assert exc.value.column == column
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("x - -y", 5), ("x + -y", 5), ("- -x", 3), ("x - +y", 5), ("-x+-y", 4), ("- - x", 3)],
+    )
+    def test_stacked_signs_rejected_at_second_sign(self, text, column):
+        with pytest.raises(biv.ParseError, match="follows another sign") as exc:
+            biv.parse_bivariate(text)
+        assert exc.value.column == column
+
+    def test_single_leading_minus(self):
+        assert biv.parse_bivariate("-x + y") == bp((1, 0, -1), (0, 1, 1))
+        assert biv.parse_bivariate("  -1/2*x^2") == bp((2, 0, Fraction(-1, 2)))
+
+    @given(sparse_polys(max_terms=20, max_exp=15))
+    def test_round_trip_property(self, p):
+        assert biv.parse_bivariate(str(p)) == p
+
+    @given(
+        sparse_polys(max_terms=6, min_terms=1),
+        sparse_polys(max_terms=6, min_terms=1),
+        st.sampled_from(["stacked sign", "dangling *", "dangling +", "zero denominator"]),
+        st.sampled_from(["+", "-"]),
+    )
+    def test_grammar_error_column_property(self, left, right, error, op):
+        """An error spliced between two valid expressions is reported where it is."""
+        head = str(left)
+        if error == "stacked sign":
+            text, column = f"{head} {op} -{right}", len(head) + 4
+        elif error == "dangling *":
+            text, column = f"{head} {op} 3*x* + {right}", len(head) + 7
+        elif error == "dangling +":
+            text, column = f"{head} {op}", len(head) + 2
+        else:
+            text, column = f"{head} {op} 5/0*y {op} {right}", len(head) + 4
+        with pytest.raises(biv.ParseError) as exc:
             biv.parse_bivariate(text)
         assert exc.value.column == column
 

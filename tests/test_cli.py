@@ -151,6 +151,11 @@ class TestDivideAndKernel:
         assert code == 0
         assert "in_kernel(evaluate)=true in_kernel(divide)=true" in out
 
+    def test_single_leading_minus_accepted(self, capsys):
+        code, out, _ = run(capsys, "kernel", "-x + y", "2", "3")
+        assert code == 0
+        assert "in_kernel(evaluate)=false in_kernel(divide)=false" in out
+
     def test_parse_error_exit_3(self, capsys):
         code, _, err = run(capsys, "divide", "x^2 + @", "2", "3")
         assert code == 3
@@ -162,6 +167,9 @@ class TestDivideAndKernel:
             ("1/0*x", "zero denominator in '1/0' (column 1)"),
             ("3*", "dangling '*' at end of term (column 2)"),
             ("x*", "dangling '*' at end of term (column 2)"),
+            ("x - -y", "sign '-' follows another sign (column 5)"),
+            ("x + -y", "sign '-' follows another sign (column 5)"),
+            ("- -x", "sign '-' follows another sign (column 3)"),
         ],
     )
     def test_bad_expression_exit_3_one_line(self, capsys, expr, message):
