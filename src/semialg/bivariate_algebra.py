@@ -180,38 +180,49 @@ def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
     return DivisionResult(BivariatePolynomial(quotient), BivariatePolynomial(remainder))
 
 
-def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> IntPolynomial:
-    """Image of g under x -> t^a, y -> t^b, i.e. g(t^a, t^b) in E[t]."""
+def check_weights(a: int, b: int) -> None:
+    """Weights of the ring map x -> t^a, y -> t^b: positive, distinct and coprime.
+
+    Unlike semigroup_core.validate_pair, a weight of 1 is allowed: the kernel
+    of x -> t, y -> t^b is still the principal ideal of x^b - y.
+    """
     if a < 1 or b < 1:
         raise ValueError("exponent weights must be positive")
-    coeffs: dict[int, Fraction] = {}
-    for m, c in g.terms.items():
-        n = a * m.i + b * m.j
-        coeffs[n] = coeffs[n] + c if n in coeffs else c
-    if not coeffs:
-        return IntPolynomial.zero()
-    dense = [Fraction(0)] * (max(coeffs) + 1)
-    for n, c in coeffs.items():
-        dense[n] = c
-    return IntPolynomial(dense)
-
-
-def _check_pair(a: int, b: int) -> None:
     if a == b:
         raise ValueError(f"weights must be distinct, got a = b = {a}")
     if math.gcd(a, b) != 1:
         raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
 
 
+def _degree_sums(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
+    """Coefficients of g(t^a, t^b) by degree a*i + b*j; cancelled sums stay as 0."""
+    sums: dict[int, Fraction] = {}
+    for m, c in g.terms.items():
+        n = a * m.i + b * m.j
+        sums[n] = sums[n] + c if n in sums else c
+    return sums
+
+
+def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> IntPolynomial:
+    """Image of g under x -> t^a, y -> t^b, i.e. g(t^a, t^b) in E[t]."""
+    check_weights(a, b)
+    sums = _degree_sums(g, a, b)
+    dense = [Fraction(0)] * (max(sums, default=-1) + 1)
+    for n, c in sums.items():
+        dense[n] = c
+    return IntPolynomial(dense)
+
+
 def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") -> bool:
     """Membership in the kernel ideal, by direct evaluation or by division.
 
     The two methods agree on every input: the kernel is exactly the
-    principal ideal of x^b - y^a.
+    principal ideal of x^b - y^a. Evaluation sums coefficients per degree
+    in a dict, so its cost does not grow with the exponents.
     """
-    _check_pair(a, b)
+    check_weights(a, b)
     if method == "evaluate":
-        return phi_evaluate(g, a, b).is_zero()
+        return not any(_degree_sums(g, a, b).values())
     if method == "divide":
         return divide(g, BivariatePolynomial.binomial_xb_minus_ya(a, b)).remainder.is_zero()
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")

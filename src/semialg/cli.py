@@ -8,6 +8,7 @@ is a pure deterministic function of its arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -122,6 +123,7 @@ def _verdict_line(verdicts: dict[str, bool]) -> str:
 
 def _cmd_divide(args) -> int:
     g = biv.parse_bivariate(args.expr)
+    biv.check_weights(args.a, args.b)
     divisor = biv.BivariatePolynomial.binomial_xb_minus_ya(args.a, args.b)
     q, r = biv.divide(g, divisor)
     verdicts = {
@@ -179,7 +181,9 @@ def _cmd_hilbert(args) -> int:
     return _emit(args, "hilbert", inputs, result, lambda: [str(series)])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The semialg argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="semialg",
         description="Exact computations on numerical semigroups, gap polynomials, "
@@ -235,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except biv.ParseError as exc:

@@ -7,10 +7,9 @@ coefficient arithmetic is exact.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .semigroup_core import GeneratorSet, build_table, validate_generators
+from .semigroup_core import GeneratorSet, build_table, validate_pair
 
 NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
 
@@ -118,22 +117,13 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-def _coprime_pair(a: int, b: int) -> GeneratorSet:
-    if a == b:
-        raise ValueError(f"generators must be distinct, got a = b = {a}")
-    if a < 2 or b < 2:
-        raise ValueError("both generators must be at least 2 (f_A would be zero)")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
-    return validate_generators([a, b])
+Q_MINUS_1 = IntPolynomial((-1, 1))
 
 
 def gap_polynomial(A: GeneratorSet) -> IntPolynomial:
     """f_A(q): coefficient 1 at each gap of S(A), zero elsewhere."""
     table = build_table(A)
-    if not table.gaps:
-        return IntPolynomial.zero()
-    coeffs = [0] * (table.frobenius + 1)
+    coeffs = [0] * (table.frobenius + 1)  # F = -1 without gaps: the zero polynomial
     for n in table.gaps:
         coeffs[n] = 1
     return IntPolynomial(coeffs)
@@ -154,24 +144,25 @@ def g_polynomial(A: GeneratorSet) -> IntPolynomial:
     return IntPolynomial(1 if table.is_member(n) else 0 for n in range(table.frobenius + 1))
 
 
+def _cleared_identity(a: int, b: int, g: IntPolynomial) -> bool:
+    """(q^a - 1)(q^b - 1) g == (q - 1)(q^ab - 1), exactly.
+
+    Both forms of the functional equation take this shape, denominators cleared.
+    """
+    one = IntPolynomial.one()
+    lhs = (IntPolynomial.monomial(a) - one) * (IntPolynomial.monomial(b) - one) * g
+    return lhs == Q_MINUS_1 * (IntPolynomial.monomial(a * b) - one)
+
+
 def verify_functional_equation(a: int, b: int) -> bool:
     """Check (q^a - 1)(q^b - 1)((q-1) f_A + 1) == (q-1)(q^ab - 1) exactly."""
-    A = _coprime_pair(a, b)
-    f = gap_polynomial(A)
-    q_minus_1 = IntPolynomial((-1, 1))
-    lhs = (
-        (IntPolynomial.monomial(a) - IntPolynomial.one())
-        * (IntPolynomial.monomial(b) - IntPolynomial.one())
-        * (q_minus_1 * f + IntPolynomial.one())
-    )
-    rhs = q_minus_1 * (IntPolynomial.monomial(a * b) - IntPolynomial.one())
-    return lhs == rhs
+    f = gap_polynomial(validate_pair(a, b))
+    return _cleared_identity(a, b, Q_MINUS_1 * f + IntPolynomial.one())
 
 
 def frobenius_from_degree(a: int, b: int) -> int:
     """deg f_A for A = {a,b}; the degree argument forces this to be ab - a - b."""
-    A = _coprime_pair(a, b)
-    d = gap_polynomial(A).degree
+    d = gap_polynomial(validate_pair(a, b)).degree
     if d != a * b - a - b:
         raise RuntimeError(f"degree {d} != {a * b - a - b} for ({a},{b})")
     return d
@@ -179,19 +170,11 @@ def frobenius_from_degree(a: int, b: int) -> int:
 
 def reciprocal_duality(a: int, b: int) -> bool:
     """Check that reciprocal(f_A) equals g_A and the reciprocal identity holds."""
-    A = _coprime_pair(a, b)
-    f = gap_polynomial(A)
-    f_hat = reciprocal(f)
+    A = validate_pair(a, b)
+    f_hat = reciprocal(gap_polynomial(A))
     if f_hat != g_polynomial(A):
         return False
-    q_minus_1 = IntPolynomial((-1, 1))
-    lhs = (
-        (IntPolynomial.monomial(a) - IntPolynomial.one())
-        * (IntPolynomial.monomial(b) - IntPolynomial.one())
-        * (IntPolynomial.monomial(a * b - a - b + 1) - q_minus_1 * f_hat)
-    )
-    rhs = q_minus_1 * (IntPolynomial.monomial(a * b) - IntPolynomial.one())
-    return lhs == rhs
+    return _cleared_identity(a, b, IntPolynomial.monomial(a * b - a - b + 1) - Q_MINUS_1 * f_hat)
 
 
 def epsilon_symmetry_violations(A: GeneratorSet) -> list[int]:

@@ -98,7 +98,8 @@ class SemigroupTable:
         for r, w in enumerate(self.apery):
             # the gaps congruent to r are r, r + a1, ..., w - a1
             is_gap[r:w:a1] = b"\x01" * ((w - r) // a1)
-        return tuple(compress(range(self.frobenius + 1), is_gap))
+        # via a list: tuple() of an iterator grows by resizing, which fragments the heap
+        return tuple(list(compress(range(self.frobenius + 1), is_gap)))
 
 
 def validate_generators(raw: list[int]) -> GeneratorSet:
@@ -114,6 +115,20 @@ def validate_generators(raw: list[int]) -> GeneratorSet:
             raise ValueError(f"generators must be positive, got {a}")
     elements = tuple(sorted(set(raw)))
     return GeneratorSet(elements=elements, gcd=math.gcd(*elements))
+
+
+def validate_pair(a: int, b: int) -> GeneratorSet:
+    """{a, b} for the two-generator identities: distinct, both at least 2, coprime.
+
+    A generator 1 leaves S(A) without gaps, so f_A is zero and has no degree.
+    """
+    if a == b:
+        raise ValueError(f"pair must be distinct, got a = b = {a}")
+    if a < 2 or b < 2:
+        raise ValueError("both pair members must be at least 2")
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
+    return validate_generators([a, b])
 
 
 def conductor_bound(A: GeneratorSet) -> int:

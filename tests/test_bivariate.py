@@ -241,6 +241,26 @@ class TestInKernel:
         with pytest.raises(ValueError):
             biv.in_kernel(bp((1, 0, 1)), 3, 3)
 
+    def test_huge_exponent_not_in_kernel(self):
+        g = biv.parse_bivariate("x^1000000000000 - y^3")
+        assert not biv.in_kernel(g, 2, 3, "evaluate")
+
+    def test_huge_exponent_cancelling_in_kernel(self):
+        # x^(3N) and y^(2N) both map to t^(6N)
+        g = biv.parse_bivariate("x^3000000000000 - y^2000000000000")
+        assert biv.in_kernel(g, 2, 3, "evaluate")
+
+    def test_weight_one_allowed(self):
+        for method in ("evaluate", "divide"):
+            assert biv.in_kernel(bp((3, 0, 1), (0, 1, -1)), 1, 3, method)
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (-2, 1), (0, 3)])
+    def test_nonpositive_weights_rejected(self, a, b):
+        with pytest.raises(ValueError, match="exponent weights must be positive"):
+            biv.in_kernel(bp((1, 0, 1)), a, b)
+        with pytest.raises(ValueError, match="exponent weights must be positive"):
+            biv.phi_evaluate(bp((1, 0, 1)), a, b)
+
     def test_methods_agree_randomized(self):
         rng = random.Random(23)
         for _ in range(100):

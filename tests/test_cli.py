@@ -162,6 +162,26 @@ class TestDivideAndKernel:
         assert "column 7" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["divide", "x", "0", "0"], "exponent weights must be positive"),
+            (["divide", "x", "-2", "1"], "exponent weights must be positive"),
+            (["divide", "x", "2", "4"], "gcd(2,4) = 2 != 1"),
+            (["kernel", "x", "3", "3"], "weights must be distinct, got a = b = 3"),
+        ],
+    )
+    def test_bad_weights_exit_2_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_weight_one_accepted(self, capsys):
+        code, out, _ = run(capsys, "kernel", "x^3 - y", "1", "3")
+        assert code == 0
+        assert "in_kernel(evaluate)=true in_kernel(divide)=true" in out
+
+    @pytest.mark.parametrize(
         "expr, message",
         [
             ("1/0*x", "zero denominator in '1/0' (column 1)"),
@@ -226,6 +246,17 @@ class TestRankNullityCommand:
         code, out, _ = run(capsys, "rank-nullity", "2", "7", "--order", "100")
         assert code == 0
         assert "PASS" in out
+
+    def test_negative_order_exit_2(self, capsys):
+        code, out, err = run(capsys, "rank-nullity", "3", "5", "--order", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: truncation order must be nonnegative\n"
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestDeterminism:

@@ -134,6 +134,23 @@ class TestFunctionalEquation:
                     assert gp.reciprocal_duality(a, b)
 
 
+class TestClearedIdentityCanFail:
+    """A gap polynomial with one coefficient flipped breaks both identities."""
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_both_identities_fail(self, monkeypatch, a, b):
+        true_f = gp.gap_polynomial(gens(a, b))
+        coeffs = list(true_f.coefficients)
+        coeffs[1] ^= 1  # 1 is a gap of every admissible pair; the degree F stays
+        wrong_f = P(coeffs)
+        monkeypatch.setattr(gp, "gap_polynomial", lambda A: wrong_f)
+        assert not gp.verify_functional_equation(a, b)
+        assert not gp.reciprocal_duality(a, b)
+        # with g_A patched to match, only the cleared identity can reject it
+        monkeypatch.setattr(gp, "g_polynomial", lambda A: gp.reciprocal(wrong_f))
+        assert not gp.reciprocal_duality(a, b)
+
+
 class TestFrobeniusFromDegree:
     def test_examples(self):
         assert gp.frobenius_from_degree(3, 5) == 7

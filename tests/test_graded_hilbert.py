@@ -24,6 +24,9 @@ class TestTruncatedSeries:
         s = TS.geometric(1, 4).shift(2)
         assert s.coefficients == (0, 0, 1, 1, 1)
         assert TS.geometric(1, 3).shift(10).coefficients == (0, 0, 0, 0)
+        assert TS.geometric(1, 3).shift(0).coefficients == (1, 1, 1, 1)
+        assert TS.geometric(1, 3).shift(4).coefficients == (0, 0, 0, 0)
+        assert TS.geometric(1, 3).shift(3).coefficients == (0, 0, 0, 1)
 
     def test_str(self):
         assert str(TS(2, [1, 0, 3])) == "1 + 0*q + 3*q^2 + O(q^3)"
@@ -72,6 +75,26 @@ class TestGradedDims:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             gh.graded_dims(4, 6, 10)
+
+    def test_denumerant_tables_match_partition_count(self):
+        for a in range(2, 21):
+            for b in range(a + 1, 21):
+                if math.gcd(a, b) != 1:
+                    continue
+                ab = a * b
+                top = ab + a + b
+                p = [gh.partition_count(a, b, n) for n in range(top + 1)]
+                for nmax in (0, ab - 1, ab, top):
+                    dims = gh.graded_dims(a, b, nmax)
+                    assert dims.dim_full == tuple(p[: nmax + 1])
+                    assert dims.dim_kernel == tuple(
+                        p[n - ab] if n >= ab else 0 for n in range(nmax + 1)
+                    )
+
+    @pytest.mark.parametrize("nmax", [-1, -5])
+    def test_negative_order_rejected(self, nmax):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            gh.graded_dims(3, 5, nmax)
 
     def test_dim_ring_is_membership(self):
         table = sc.build_table(sc.validate_generators([4, 7]))
@@ -130,14 +153,17 @@ class TestHilbertSeries:
             expected = full.coefficients[n - 15] if n >= 15 else 0
             assert kernel.coefficients[n] == expected
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 7, 31])
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 31, 199, 200, 211])
     def test_closed_forms_match_dense_products(self, order):
         g1 = TS.geometric(1, order)
         assert gh.hilbert_series("full_ring_degree", None, None, order) == g1 * g1
-        for a, b in [(2, 3), (3, 5), (4, 7)]:
+        for a, b in [(2, 3), (3, 5), (4, 7), (9, 11), (13, 17)]:
             product = TS.geometric(a, order) * TS.geometric(b, order)
             assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product
             assert gh.hilbert_series("kernel", a, b, order) == product.shift(a * b)
+        for a, b in [(1, 1), (4, 6), (2, 3), (5, 3), (7, 1)]:
+            product = TS.geometric(a, order) * TS.geometric(b, order)
+            assert gh.euler_product_series(a, b, order) == product
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,25 @@ class TestValidateGenerators:
             sc.validate_generators([3, bad])
 
 
+class TestValidatePair:
+    def test_sorted_generator_set(self):
+        assert sc.validate_pair(5, 3) == sc.validate_generators([3, 5])
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (3, 3, "pair must be distinct, got a = b = 3"),
+            (1, 5, "both pair members must be at least 2"),
+            (0, 5, "both pair members must be at least 2"),
+            (4, 6, "gcd(4,6) = 2 != 1"),
+        ],
+    )
+    def test_rejected(self, a, b, message):
+        with pytest.raises(ValueError) as info:
+            sc.validate_pair(a, b)
+        assert str(info.value) == message
+
+
 class TestConductorBound:
     def test_examples(self):
         assert sc.conductor_bound(gens(3, 5)) == 12
