@@ -234,6 +234,8 @@ def distinct_exponent_check(a: int, b: int, j_cap: int | None = None) -> bool:
     Default cap keeps a*i + b*j <= 3ab, covering everything the identity
     checks can produce at desk scale.
     """
+    if a < 1 or b < 1:
+        raise ValueError("exponent weights must be positive")
     if math.gcd(a, b) != 1:
         raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
     if j_cap is None:

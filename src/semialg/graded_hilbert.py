@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .bivariate_algebra import Monomial2
-from .gap_polynomials import IntPolynomial, gap_polynomial
-from .semigroup_core import build_table, validate_pair
+from .gap_polynomials import gap_polynomial
+from .semigroup_core import BoundTooLargeError, _max_bound, build_table, validate_pair
 
 SERIES_KINDS = (
     "full_ring_degree",
@@ -43,26 +43,10 @@ class TruncatedSeries:
             raise ValueError("geometric step must be positive")
         return cls(order, [1 if n % m == 0 else 0 for n in range(order + 1)])
 
-    @classmethod
-    def from_polynomial(cls, f: IntPolynomial, order: int) -> "TruncatedSeries":
-        return cls(order, [f.coefficient(n) for n in range(order + 1)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coefficients == other.coefficients
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, [self.coefficients[i] + other.coefficients[i] for i in range(n + 1)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, [self.coefficients[i] - other.coefficients[i] for i in range(n + 1)]
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -112,15 +96,6 @@ class GradedDims:
     dim_ring: tuple[int, ...]
     dim_kernel: tuple[int, ...]
 
-    def dimE(self, n: int) -> int:
-        return self.dim_full[n]
-
-    def dimR(self, n: int) -> int:
-        return self.dim_ring[n]
-
-    def dimK(self, n: int) -> int:
-        return self.dim_kernel[n]
-
 
 def _denumerants(a: int, b: int, nmax: int) -> list[int]:
     """p_{a,b}(0..nmax), the coefficients of 1/((1-q^a)(1-q^b)), in O(nmax).
@@ -154,18 +129,29 @@ def enumerate_basis(a: int, b: int, n: int) -> list[Monomial2]:
     ]
 
 
+def _check_order(order: int) -> None:
+    """An order must be nonnegative, and its order + 1 coefficients within SEMIGROUP_MAX_BOUND."""
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    cap = _max_bound()
+    if order + 1 > cap:
+        raise BoundTooLargeError(f"series of {order + 1} coefficients exceeds SEMIGROUP_MAX_BOUND={cap}")
+
+
 def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
     """Tabulate dim(E_n), dim(R_n), dim(K_n) for n = 0..nmax.
 
     dim(K_n) = dim(E_{n-ab}): the kernel is generated by x^b - y^a, of degree ab.
     dim(R_n) comes from the semigroup table, so rank-nullity is a real check.
     """
-    if nmax < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(nmax)
     table = build_table(validate_pair(a, b))
     full = TruncatedSeries(nmax, _denumerants(a, b, nmax))
-    ring = tuple(1 if table.is_member(n) else 0 for n in range(nmax + 1))
-    return GradedDims(a, b, nmax, full.coefficients, ring, full.shift(a * b).coefficients)
+    ring = [1] * (nmax + 1)
+    a1 = len(table.apery)
+    for r, w in enumerate(table.apery):
+        ring[r:w:a1] = [0] * len(ring[r:w:a1])  # the gaps r, r + a1, ..., w - a1 up to nmax
+    return GradedDims(a, b, nmax, full.coefficients, tuple(ring), full.shift(a * b).coefficients)
 
 
 def rank_nullity_check(a: int, b: int, nmax: int) -> bool:
@@ -187,10 +173,10 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
     """Truncated expansion of one of the five closed-form Hilbert series.
 
     `which` is one of SERIES_KINDS; the pair (a, b) is ignored for the
-    univariate and degree-graded series.
+    univariate and degree-graded series. The three pair kinds are the
+    matching fields of graded_dims.
     """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(order)
     if which == "univariate":
         return TruncatedSeries.geometric(1, order)
     if which == "full_ring_degree":
@@ -200,34 +186,34 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
         raise ValueError(f"unknown series kind {which!r}")
     if a is None or b is None:
         raise ValueError(f"series kind {which!r} needs the pair (a, b)")
-    A = validate_pair(a, b)
-    if which == "semigroup_ring":
-        # 1/(1-q) - f_A(q)
-        f = gap_polynomial(A)
-        return TruncatedSeries.geometric(1, order) - TruncatedSeries.from_polynomial(f, order)
-    full = TruncatedSeries(order, _denumerants(a, b, order))
-    return full if which == "full_ring_frobenius" else full.shift(a * b)
+    dims = graded_dims(a, b, order)
+    fields = {"full_ring_frobenius": dims.dim_full, "semigroup_ring": dims.dim_ring, "kernel": dims.dim_kernel}
+    return TruncatedSeries(order, fields[which])
 
 
 def euler_product_series(a: int, b: int, order: int) -> TruncatedSeries:
     """1 / ((1-q^a)(1-q^b)) truncated; no coprimality requirement."""
     if a < 1 or b < 1:
         raise ValueError("parts must be positive")
+    _check_order(order)
     return TruncatedSeries(order, _denumerants(a, b, order))
 
 
 def series_identity_check(a: int, b: int, order: int) -> bool:
-    """Full-ring series equals semigroup-ring series plus kernel series.
+    """H_E - q^ab H_E == 1/(1-q) - f_A up to q^order: the exact sequence against the gaps.
 
-    Requires order >= ab + 1 so the gap polynomial is fully visible. The
-    cleared-denominator polynomial identity is verify_functional_equation's.
+    The left side is the denumerant table, the right side the gap polynomial,
+    so this shares no source with rank_nullity_check, which reads dim(R_n)
+    from the Apery set. Requires order >= ab + 1 so f_A is fully visible.
     """
-    validate_pair(a, b)
-    if order < a * b + 1:
-        raise ValueError(f"order must be at least ab + 1 = {a * b + 1}")
-    full = hilbert_series("full_ring_frobenius", a, b, order)
-    ring = hilbert_series("semigroup_ring", a, b, order)
-    return full == ring + full.shift(a * b)  # the last term is the kernel series
+    A = validate_pair(a, b)
+    ab = a * b
+    if order < ab + 1:
+        raise ValueError(f"order must be at least ab + 1 = {ab + 1}")
+    _check_order(order)
+    p = _denumerants(a, b, order)
+    f = gap_polynomial(A)
+    return all(p[n] - (p[n - ab] if n >= ab else 0) == 1 - f.coefficient(n) for n in range(order + 1))
 
 
 def series_to_json(s: TruncatedSeries) -> dict:

@@ -197,11 +197,12 @@ def genus(A: GeneratorSet) -> int:
 def is_symmetric(A: GeneratorSet) -> bool:
     """True iff n not in S(A) implies F(A) - n in S(A).
 
-    Gap-free semigroups are symmetric by vacuity.
+    n -> F - n maps the members below F into the gaps, so F + 1 - g <= g, with
+    equality iff S(A) is symmetric (Rosales & Garcia-Sanchez, Numerical
+    Semigroups, 2009). Gap-free semigroups are symmetric by vacuity: g = 0, F = -1.
     """
     table = build_table(A)
-    F = table.frobenius
-    return all(table.is_member(n) != table.is_member(F - n) for n in range(F + 1))
+    return 2 * table.genus == table.frobenius + 1
 
 
 def represent(n: int, A: GeneratorSet) -> Representation | None:

@@ -33,6 +33,17 @@ def naive_gaps(generators, limit):
     return [n for n, m in enumerate(naive_members(generators, limit)) if not m]
 
 
+def naive_is_symmetric(generators):
+    """n not in S implies F - n in S, by scanning 0..F of naive_members.
+
+    The limit is the conductor bound (a_k - 1) * sum(a_1..a_{k-1}), past F.
+    """
+    gs = sorted(generators)
+    member = naive_members(gs, (gs[-1] - 1) * sum(gs[:-1]) + 1)
+    F = max((n for n, m in enumerate(member) if not m), default=-1)
+    return all(member[n] or member[F - n] for n in range(F + 1))
+
+
 def naive_partition_count(a, b, n):
     """Count solutions of a*i + b*j = n by full double loop."""
     count = 0

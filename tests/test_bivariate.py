@@ -288,6 +288,11 @@ class TestDistinctExponentCheck:
         with pytest.raises(ValueError):
             biv.distinct_exponent_check(4, 6)
 
+    @pytest.mark.parametrize("a, b", [(-3, 1), (0, 1)])
+    def test_non_positive_weights_rejected(self, a, b):
+        with pytest.raises(ValueError, match="exponent weights must be positive"):
+            biv.distinct_exponent_check(a, b)
+
 
 class TestParser:
     def test_round_trip(self):

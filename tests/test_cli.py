@@ -253,6 +253,28 @@ class TestRankNullityCommand:
         assert out == ""
         assert err == "error: truncation order must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "argv, coefficients",
+        [
+            (["rank-nullity", "3", "5", "--order", "1000000000000"], 1000000000001),
+            (["hilbert", "kernel", "3", "5", "1000000000000"], 1000000000001),
+            (["rank-nullity", "3", "5", "--order", "50"], 51),
+            (["verify", "3", "5"], 46),
+        ],
+    )
+    def test_order_over_cap_exit_2(self, capsys, monkeypatch, argv, coefficients):
+        # verify checks rank-nullity up to 3ab = 45, so it needs 46 coefficients
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "45")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: series of {coefficients} coefficients exceeds SEMIGROUP_MAX_BOUND=45\n"
+
+    def test_order_at_cap_answers(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
+        assert run(capsys, "verify", "3", "5")[0] == 0
+        assert run(capsys, "rank-nullity", "3", "5", "--order", "45")[0] == 0
+
 
 class TestParser:
     def test_built_once_per_process(self):

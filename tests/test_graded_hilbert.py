@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
 from semialg.bivariate_algebra import Monomial2
 
-from oracles import naive_partition_count
+from oracles import naive_members, naive_partition_count
 
 TS = gh.TruncatedSeries
 
@@ -68,9 +69,9 @@ class TestEnumerateBasis:
 class TestGradedDims:
     def test_3_5_spot_values(self):
         dims = gh.graded_dims(3, 5, 20)
-        assert (dims.dimE(15), dims.dimR(15), dims.dimK(15)) == (2, 1, 1)
-        assert (dims.dimE(7), dims.dimR(7), dims.dimK(7)) == (0, 0, 0)
-        assert (dims.dimE(0), dims.dimR(0), dims.dimK(0)) == (1, 1, 0)
+        assert (dims.dim_full[15], dims.dim_ring[15], dims.dim_kernel[15]) == (2, 1, 1)
+        assert (dims.dim_full[7], dims.dim_ring[7], dims.dim_kernel[7]) == (0, 0, 0)
+        assert (dims.dim_full[0], dims.dim_ring[0], dims.dim_kernel[0]) == (1, 1, 0)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +101,33 @@ class TestGradedDims:
         table = sc.build_table(sc.validate_generators([4, 7]))
         dims = gh.graded_dims(4, 7, 60)
         for n in range(61):
-            assert dims.dimR(n) == (1 if table.is_member(n) else 0)
+            assert dims.dim_ring[n] == (1 if table.is_member(n) else 0)
+
+    def test_dim_ring_and_semigroup_series_match_naive_members(self):
+        # N < F stops the gap slices of some residues short of Ap[r]; N >= F keeps every gap
+        for a in range(2, 21):
+            for b in range(a + 1, 21):
+                if math.gcd(a, b) != 1:
+                    continue
+                F = a * b - a - b
+                members = naive_members((a, b), 3 * a * b)
+                for nmax in (0, F - 1, F, F + 1, 3 * a * b):
+                    expected = tuple(int(m) for m in members[: nmax + 1])
+                    assert gh.graded_dims(a, b, nmax).dim_ring == expected
+                    assert gh.hilbert_series("semigroup_ring", a, b, nmax).coefficients == expected
+
+    def test_order_over_cap_refused(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "50")
+        assert len(gh.graded_dims(3, 5, 49).dim_full) == 50
+        message = "series of 51 coefficients exceeds SEMIGROUP_MAX_BOUND=50"
+        with pytest.raises(sc.BoundTooLargeError, match=message):
+            gh.graded_dims(3, 5, 50)
+        with pytest.raises(sc.BoundTooLargeError, match=message):
+            gh.hilbert_series("univariate", None, None, 50)
+        with pytest.raises(sc.BoundTooLargeError, match=message):
+            gh.euler_product_series(3, 5, 50)
+        with pytest.raises(sc.BoundTooLargeError, match=message):
+            gh.series_identity_check(3, 5, 50)
 
 
 class TestRankNullity:
@@ -175,6 +202,11 @@ class TestHilbertSeries:
 
 
 class TestEulerProduct:
+    @pytest.mark.parametrize("order", [-1, -4])
+    def test_negative_order_rejected(self, order):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            gh.euler_product_series(3, 5, order)
+
     def test_order_500(self):
         for a, b in [(3, 5), (2, 3), (1, 1), (4, 6)]:
             s = gh.euler_product_series(a, b, 500)
@@ -197,3 +229,10 @@ class TestSeriesIdentity:
             for b in range(a + 1, 31):
                 if math.gcd(a, b) == 1:
                     assert gh.series_identity_check(a, b, a * b + 10)
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_flipped_gap_polynomial_fails(self, monkeypatch, a, b):
+        coeffs = list(gp.gap_polynomial(sc.validate_pair(a, b)).coefficients)
+        coeffs[1] ^= 1  # 1 is a gap of every admissible pair
+        monkeypatch.setattr(gh, "gap_polynomial", lambda A: gp.IntPolynomial(coeffs))
+        assert not gh.series_identity_check(a, b, a * b + 10)
