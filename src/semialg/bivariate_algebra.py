@@ -74,9 +74,6 @@ class BivariatePolynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -88,9 +85,6 @@ class BivariatePolynomial:
         for m, c in other.terms.items():
             terms[m] = terms.get(m, Fraction(0)) - c
         return BivariatePolynomial(terms)
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         terms: dict[Monomial2, Fraction] = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .semigroup_core import GeneratorSet, build_table, validate_pair
+from .semigroup_core import COMPLEMENT, GeneratorSet, build_table, validate_pair
 
 NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
 
@@ -61,9 +61,6 @@ class IntPolynomial:
             return NotImplemented
         return self.coefficients == other.coefficients
 
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coefficients), len(other.coefficients))
         return IntPolynomial(
@@ -75,9 +72,6 @@ class IntPolynomial:
         return IntPolynomial(
             self.coefficient(i) - other.coefficient(i) for i in range(n)
         )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coefficients)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
@@ -123,10 +117,7 @@ Q_MINUS_1 = IntPolynomial((-1, 1))
 def gap_polynomial(A: GeneratorSet) -> IntPolynomial:
     """f_A(q): coefficient 1 at each gap of S(A), zero elsewhere."""
     table = build_table(A)
-    coeffs = [0] * (table.frobenius + 1)  # F = -1 without gaps: the zero polynomial
-    for n in table.gaps:
-        coeffs[n] = 1
-    return IntPolynomial(coeffs)
+    return IntPolynomial(table.gap_indicator(table.frobenius))  # F = -1 without gaps: zero
 
 
 def reciprocal(f: IntPolynomial) -> IntPolynomial:
@@ -139,9 +130,9 @@ def reciprocal(f: IntPolynomial) -> IntPolynomial:
 def g_polynomial(A: GeneratorSet) -> IntPolynomial:
     """g_A(q) = (1 + q + ... + q^F) - f_A(q): indicator of members up to F(A)."""
     table = build_table(A)
-    if not table.gaps:
+    if not table.genus:
         raise ValueError("g_A is undefined for gap-free semigroups (no Frobenius degree)")
-    return IntPolynomial(1 if table.is_member(n) else 0 for n in range(table.frobenius + 1))
+    return IntPolynomial(table.gap_indicator(table.frobenius).translate(COMPLEMENT))
 
 
 def _cleared_identity(a: int, b: int, g: IntPolynomial) -> bool:
@@ -183,10 +174,11 @@ def epsilon_symmetry_violations(A: GeneratorSet) -> list[int]:
     Empty exactly when S(A) is symmetric.
     """
     table = build_table(A)
-    if not table.gaps:
+    if not table.genus:
         raise ValueError("symmetry indicators need at least one gap")
     F = table.frobenius
-    return [n for n in range(F + 1) if table.is_member(n) == table.is_member(F - n)]
+    is_gap = table.gap_indicator(F)
+    return [n for n in range(F + 1) if is_gap[n] == is_gap[F - n]]
 
 
 def poly_to_json(f: IntPolynomial) -> list[list]:

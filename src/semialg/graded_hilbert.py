@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .bivariate_algebra import Monomial2
 from .gap_polynomials import gap_polynomial
-from .semigroup_core import BoundTooLargeError, _max_bound, build_table, validate_pair
+from .semigroup_core import COMPLEMENT, build_table, check_size, validate_pair
 
 SERIES_KINDS = (
     "full_ring_degree",
@@ -133,9 +133,7 @@ def _check_order(order: int) -> None:
     """An order must be nonnegative, and its order + 1 coefficients within SEMIGROUP_MAX_BOUND."""
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    cap = _max_bound()
-    if order + 1 > cap:
-        raise BoundTooLargeError(f"series of {order + 1} coefficients exceeds SEMIGROUP_MAX_BOUND={cap}")
+    check_size("series", order + 1, "coefficients")
 
 
 def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
@@ -147,11 +145,8 @@ def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
     _check_order(nmax)
     table = build_table(validate_pair(a, b))
     full = TruncatedSeries(nmax, _denumerants(a, b, nmax))
-    ring = [1] * (nmax + 1)
-    a1 = len(table.apery)
-    for r, w in enumerate(table.apery):
-        ring[r:w:a1] = [0] * len(ring[r:w:a1])  # the gaps r, r + a1, ..., w - a1 up to nmax
-    return GradedDims(a, b, nmax, full.coefficients, tuple(ring), full.shift(a * b).coefficients)
+    ring = tuple(table.gap_indicator(nmax).translate(COMPLEMENT))
+    return GradedDims(a, b, nmax, full.coefficients, ring, full.shift(a * b).coefficients)
 
 
 def rank_nullity_check(a: int, b: int, nmax: int) -> bool:

@@ -25,17 +25,18 @@ class NotNumericalSemigroupError(ValueError):
 
 
 class BoundTooLargeError(ValueError):
-    """Raised when the conductor-bound table size would exceed the configured cap."""
+    """Raised when a table or series would exceed SEMIGROUP_MAX_BOUND."""
 
 
-def _max_bound() -> int:
+def check_size(what: str, size: int, unit: str) -> None:
+    """Raise BoundTooLargeError when size exceeds SEMIGROUP_MAX_BOUND (default 10^7)."""
     raw = os.environ.get("SEMIGROUP_MAX_BOUND")
-    if raw is None:
-        return DEFAULT_MAX_BOUND
     try:
-        return int(raw)
+        cap = DEFAULT_MAX_BOUND if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"SEMIGROUP_MAX_BOUND must be an integer, got {raw!r}") from None
+    if size > cap:
+        raise BoundTooLargeError(f"{what} of {size} {unit} exceeds SEMIGROUP_MAX_BOUND={cap}")
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,30 @@ class SemigroupTable:
         # negative n never passes: apery values are nonnegative
         return n >= self.apery[n % len(self.apery)]
 
+    def gap_indicator(self, nmax: int) -> bytearray:
+        """1 at each gap in 0..nmax, 0 at each member; nmax may lie below F, and -1 gives b"".
+
+        The one place the Apery set is laid over a range: the gaps congruent
+        to r are r, r + a1, ..., apery[r] - a1, set by one slice per residue.
+        """
+        a1 = len(self.apery)
+        # clip the residue classes at nmax only where F lies past it
+        ends = self.apery if nmax >= self.frobenius else [min(w, nmax + 1) for w in self.apery]
+        is_gap = bytearray(nmax + 1)
+        for r, end in enumerate(ends):
+            is_gap[r:end:a1] = b"\x01" * -((r - end) // a1)  # ceil((end - r) / a1) ones
+        return is_gap
+
     @cached_property
     def gaps(self) -> tuple[int, ...]:
         """The genus-many gaps in ascending order, built on first access."""
-        a1 = len(self.apery)
-        is_gap = bytearray(self.frobenius + 1)
-        for r, w in enumerate(self.apery):
-            # the gaps congruent to r are r, r + a1, ..., w - a1
-            is_gap[r:w:a1] = b"\x01" * ((w - r) // a1)
+        F = self.frobenius
         # via a list: tuple() of an iterator grows by resizing, which fragments the heap
-        return tuple(list(compress(range(self.frobenius + 1), is_gap)))
+        return tuple(list(compress(range(F + 1), self.gap_indicator(F))))
+
+
+# bytes.translate table swapping 0 and 1: a gap indicator becomes a membership indicator
+COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def validate_generators(raw: list[int]) -> GeneratorSet:
@@ -152,10 +167,7 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
     """
     A.require_coprime()
     bound = conductor_bound(A)
-    cells = bound + max(A.elements) + 1
-    cap = _max_bound()
-    if cells > cap:
-        raise BoundTooLargeError(f"table of {cells} cells exceeds SEMIGROUP_MAX_BOUND={cap}")
+    check_size("table", bound + max(A.elements) + 1, "cells")
 
     a1 = A.elements[0]
     dist = [math.inf] * a1

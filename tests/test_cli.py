@@ -270,6 +270,18 @@ class TestRankNullityCommand:
         assert out == ""
         assert err == f"error: series of {coefficients} coefficients exceeds SEMIGROUP_MAX_BOUND=45\n"
 
+    def test_refused_verify_skips_the_dense_checks(self, capsys, monkeypatch):
+        def dense_check(*args):
+            raise AssertionError("a dense check ran before the refusal")
+
+        monkeypatch.setattr(gp, "verify_functional_equation", dense_check)
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "12")
+        code, out, err = run(capsys, "verify", "3", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: series of 46 coefficients exceeds SEMIGROUP_MAX_BOUND=12\n"
+        # a bad pair still reads as one before any cap is checked
+        assert run(capsys, "verify", "3", "3") == (2, "", "error: pair must be distinct, got a = b = 3\n")
+
     def test_order_at_cap_answers(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
         assert run(capsys, "verify", "3", "5")[0] == 0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from semialg import gap_polynomials as gp
 from semialg import semigroup_core as sc
 
-from oracles import naive_gaps
+from oracles import naive_gaps, naive_members
 
 P = gp.IntPolynomial
 
@@ -182,3 +183,30 @@ class TestEpsilonSymmetry:
             assert (violations == []) == sc.is_symmetric(A)
             t = sc.build_table(A)
             assert (violations == []) == (2 * t.genus == t.frobenius + 1)
+
+
+def sets_with_three_or_four_generators(seed, count):
+    """count coprime sets with k = 3 or 4 and generators from 2..24."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        elements = sorted(rng.sample(range(2, 25), rng.choice((3, 4))))
+        if math.gcd(*elements) == 1:
+            sets.append(tuple(elements))
+    return sets
+
+
+class TestIndicatorsAgainstNaiveMembers:
+    """f_A, g_A and the symmetry scan of k = 3 and 4 sets against brute-force membership."""
+
+    @pytest.mark.parametrize(
+        "elements", [(4, 5, 6), (3, 4, 5), (6, 7, 8, 9)] + sets_with_three_or_four_generators(11, 25)
+    )
+    def test_against_naive_members(self, elements):
+        A = gens(*elements)
+        member = naive_members(elements, (elements[-1] - 1) * sum(elements[:-1]))
+        F = max(n for n, m in enumerate(member) if not m)
+        assert gp.gap_polynomial(A) == P([0 if m else 1 for m in member[: F + 1]])
+        assert gp.g_polynomial(A) == P([1 if m else 0 for m in member[: F + 1]])
+        expected = [n for n in range(F + 1) if member[n] == member[F - n]]
+        assert gp.epsilon_symmetry_violations(A) == expected

@@ -170,6 +170,9 @@ class TestAperyAgainstOracles:
         assert t.genus == len(gaps)
         assert t.gaps == tuple(gaps)
         assert [t.is_member(n) for n in range(limit + 1)] == member
+        for nmax in sorted({-1, 0, t.frobenius - 1, t.frobenius, t.frobenius + 1, t.bound, limit}):
+            if nmax >= -1:
+                assert t.gap_indicator(nmax) == bytes(0 if m else 1 for m in member[: nmax + 1])
         for n in range(limit + 1):
             rep = sc.represent_from_table(n, t)
             if member[n]:
