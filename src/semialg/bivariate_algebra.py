@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .gap_polynomials import IntPolynomial
+from .semigroup_core import check_size
 
 
 class Monomial2(NamedTuple):
@@ -188,36 +188,39 @@ def check_weights(a: int, b: int) -> None:
         raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
 
 
-def _degree_sums(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
-    """Coefficients of g(t^a, t^b) by degree a*i + b*j; cancelled sums stay as 0."""
+def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
+    """Image of g under x -> t^a, y -> t^b: the nonzero coefficients of g(t^a, t^b) by degree.
+
+    Sparse, so its cost does not grow with the exponents.
+    """
+    check_weights(a, b)
     sums: dict[int, Fraction] = {}
     for m, c in g.terms.items():
         n = a * m.i + b * m.j
         sums[n] = sums[n] + c if n in sums else c
-    return sums
+    return {n: c for n, c in sums.items() if c}
 
 
-def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> IntPolynomial:
-    """Image of g under x -> t^a, y -> t^b, i.e. g(t^a, t^b) in E[t]."""
-    check_weights(a, b)
-    sums = _degree_sums(g, a, b)
-    dense = [Fraction(0)] * (max(sums, default=-1) + 1)
-    for n, c in sums.items():
-        dense[n] = c
-    return IntPolynomial(dense)
+def check_division_steps(g: BivariatePolynomial, b: int) -> None:
+    """Refuse a division of g by x^b - y^a of more than SEMIGROUP_MAX_BOUND steps.
+
+    Lex reduction takes floor(i / b) quotient steps for a term x^i y^j, so
+    the sum over the terms of g bounds the steps and the quotient's size.
+    """
+    check_size("division", sum(m.i // b for m in g.terms), "steps")
 
 
 def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") -> bool:
     """Membership in the kernel ideal, by direct evaluation or by division.
 
     The two methods agree on every input: the kernel is exactly the
-    principal ideal of x^b - y^a. Evaluation sums coefficients per degree
-    in a dict, so its cost does not grow with the exponents.
+    principal ideal of x^b - y^a.
     """
     check_weights(a, b)
     if method == "evaluate":
-        return not any(_degree_sums(g, a, b).values())
+        return not phi_evaluate(g, a, b)
     if method == "divide":
+        check_division_steps(g, b)
         return divide(g, BivariatePolynomial.binomial_xb_minus_ya(a, b)).remainder.is_zero()
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
 

@@ -7,7 +7,8 @@ coefficient arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import compress, starmap, zip_longest
+from operator import add, sub
 
 from .semigroup_core import COMPLEMENT, GeneratorSet, build_table, validate_pair
 
@@ -15,22 +16,25 @@ NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
 
 
 class IntPolynomial:
-    """Dense univariate polynomial with exact coefficients.
+    """Dense univariate polynomial with integer coefficients, lowest degree first.
 
-    Coefficients are ints for everything built from gap data; exact
-    Fractions are also accepted (the ring-map images in the bivariate
-    module live here too). No floats, ever.
+    Trailing zeros are stripped; a float, Fraction or any other non-int
+    coefficient raises TypeError.
     """
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
+        # via a list: tuple() of an iterator grows by resizing, which fragments the heap
         coeffs = list(coefficients)
+        try:  # a sum of ints is an int; one float or Fraction makes it a float or Fraction
+            exact = type(sum(coeffs)) is int
+        except OverflowError:  # a float met an int too large to convert
+            exact = False
+        if not exact:
+            raise TypeError("coefficients must be ints")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        for c in coeffs:
-            if isinstance(c, float):
-                raise TypeError("coefficients must be exact (int or Fraction)")
         self.coefficients = tuple(coeffs)
 
     @classmethod
@@ -42,7 +46,7 @@ class IntPolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "IntPolynomial":
+    def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
         return cls((0,) * exponent + (coefficient,))
 
     @property
@@ -53,7 +57,7 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, n: int):
+    def coefficient(self, n: int) -> int:
         return self.coefficients[n] if 0 <= n < len(self.coefficients) else 0
 
     def __eq__(self, other) -> bool:
@@ -62,25 +66,18 @@ class IntPolynomial:
         return self.coefficients == other.coefficients
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return IntPolynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return IntPolynomial(starmap(add, pairs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return IntPolynomial(
-            self.coefficient(i) - other.coefficient(i) for i in range(n)
-        )
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return IntPolynomial(starmap(sub, pairs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial.zero()
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, ci in enumerate(self.coefficients):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coefficients):
+        other_terms = other.terms()
+        for i, ci in self.terms():
+            for j, cj in other_terms:
                 out[i + j] += ci * cj
         return IntPolynomial(out)
 
@@ -91,9 +88,9 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def terms(self) -> list[tuple[int, object]]:
+    def terms(self) -> list[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs, ascending."""
-        return [(i, c) for i, c in enumerate(self.coefficients) if c != 0]
+        return list(compress(enumerate(self.coefficients), self.coefficients))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -180,12 +177,3 @@ def epsilon_symmetry_violations(A: GeneratorSet) -> list[int]:
     is_gap = table.gap_indicator(F)
     return [n for n in range(F + 1) if is_gap[n] == is_gap[F - n]]
 
-
-def poly_to_json(f: IntPolynomial) -> list[list]:
-    """JSON form: [exponent, coefficient] pairs, ascending exponents."""
-    out = []
-    for i, c in f.terms():
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = int(c)
-        out.append([i, c if isinstance(c, int) else str(c)])
-    return out

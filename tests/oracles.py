@@ -84,3 +84,20 @@ def binomial_normal_form(terms, a, b):
         key = (i % b, j + a * (i // b))
         out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c != 0}
+
+
+def sparse_add(f, g):
+    """Sum of two {degree: coefficient} dicts; zero sums are dropped."""
+    out = dict(f)
+    for n, c in g.items():
+        out[n] = out.get(n, 0) + c
+    return {n: c for n, c in out.items() if c != 0}
+
+
+def sparse_mul(f, g):
+    """Product of two {degree: coefficient} dicts by the full double loop; zero sums are dropped."""
+    out = {}
+    for n1, c1 in f.items():
+        for n2, c2 in g.items():
+            out[n1 + n2] = out.get(n1 + n2, 0) + c1 * c2
+    return {n: c for n, c in out.items() if c != 0}

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import binomial_normal_form
+from oracles import binomial_normal_form, sparse_add, sparse_mul
 from semialg import bivariate_algebra as biv
+from semialg.semigroup_core import BoundTooLargeError
 
 B = biv.BivariatePolynomial
 M = biv.Monomial2
@@ -202,21 +203,29 @@ class TestDivideAgainstSympy:
 class TestPhiEvaluate:
     def test_divisor_maps_to_zero(self):
         for a, b in [(2, 3), (3, 5), (4, 9)]:
-            assert biv.phi_evaluate(B.binomial_xb_minus_ya(a, b), a, b).is_zero()
+            assert biv.phi_evaluate(B.binomial_xb_minus_ya(a, b), a, b) == {}
+
+    def test_kernel_member_maps_to_empty_dict(self):
+        assert biv.phi_evaluate(biv.parse_bivariate("x^3 - y^2"), 2, 3) == {}
 
     def test_unital(self):
-        assert biv.phi_evaluate(bp((0, 0, 1)), 3, 5) == biv.IntPolynomial.one()
+        assert biv.phi_evaluate(bp((0, 0, 1)), 3, 5) == {0: 1}
 
     def test_xy(self):
-        assert biv.phi_evaluate(bp((1, 1, 1)), 3, 5) == biv.IntPolynomial.monomial(8)
+        assert biv.phi_evaluate(bp((1, 1, 1)), 3, 5) == {8: 1}
+
+    def test_huge_exponent_stays_sparse(self):
+        g = biv.parse_bivariate("x^1000000000000 - y^3")
+        assert biv.phi_evaluate(g, 2, 3) == {2 * 10**12: 1, 9: -1}
 
     def test_homomorphism_laws(self):
         rng = random.Random(22)
         for _ in range(30):
             a, b = random_coprime_pair(rng)
             g1, g2 = random_poly(rng, 10, 8), random_poly(rng, 10, 8)
-            assert biv.phi_evaluate(g1 + g2, a, b) == biv.phi_evaluate(g1, a, b) + biv.phi_evaluate(g2, a, b)
-            assert biv.phi_evaluate(g1 * g2, a, b) == biv.phi_evaluate(g1, a, b) * biv.phi_evaluate(g2, a, b)
+            phi1, phi2 = biv.phi_evaluate(g1, a, b), biv.phi_evaluate(g2, a, b)
+            assert biv.phi_evaluate(g1 + g2, a, b) == sparse_add(phi1, phi2)
+            assert biv.phi_evaluate(g1 * g2, a, b) == sparse_mul(phi1, phi2)
 
 
 class TestInKernel:
@@ -249,6 +258,19 @@ class TestInKernel:
         # x^(3N) and y^(2N) both map to t^(6N)
         g = biv.parse_bivariate("x^3000000000000 - y^2000000000000")
         assert biv.in_kernel(g, 2, 3, "evaluate")
+
+    def test_huge_exponent_division_refused(self):
+        g = biv.parse_bivariate("x^3000000000000 - y^2000000000000")
+        with pytest.raises(BoundTooLargeError, match="division of 1000000000000 steps exceeds"):
+            biv.in_kernel(g, 2, 3, "divide")
+
+    def test_division_steps_are_summed_over_terms(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "7")
+        g = bp((8, 5, 1), (5, 0, 2), (2, 9, 1))  # 4 + 2 + 1 steps by x^2 - y^a
+        biv.check_division_steps(g, 2)
+        assert biv.in_kernel(g, 3, 2, "divide") == biv.in_kernel(g, 3, 2, "evaluate")
+        with pytest.raises(BoundTooLargeError, match="division of 8 steps exceeds SEMIGROUP_MAX_BOUND=7"):
+            biv.check_division_steps(g + bp((3, 0, 1)), 2)
 
     def test_weight_one_allowed(self):
         for method in ("evaluate", "divide"):

@@ -85,13 +85,13 @@ class TestGapsAndGapPoly:
         code, out, _ = run(capsys, "gap-poly", "3", "5", "--json")
         payload = json.loads(out)
         f = gp.gap_polynomial(sc.validate_generators([3, 5]))
-        assert payload["result"]["terms"] == [list(t) for t in gp.poly_to_json(f)]
+        assert payload["result"]["terms"] == [[i, c] for i, c in f.terms()]
 
     @pytest.mark.parametrize("gens", [["1"], ["1", "7"], ["2", "3"], ["4", "7", "9"], ["6", "10", "15"]])
     def test_gap_poly_json_matches_dense_polynomial(self, capsys, gens):
         _, out, _ = run(capsys, "gap-poly", *gens, "--json")
         f = gp.gap_polynomial(sc.validate_generators([int(a) for a in gens]))
-        assert json.loads(out)["result"]["terms"] == gp.poly_to_json(f)
+        assert json.loads(out)["result"]["terms"] == [[i, c] for i, c in f.terms()]
         _, out, _ = run(capsys, "gap-poly", *gens)
         assert out == f"{f}\n"
 
@@ -197,6 +197,41 @@ class TestDivideAndKernel:
         assert code == 3
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            # x^i takes floor(i / b) quotient steps
+            (["kernel", "x^1000000000000", "2", "3"], 333333333333),
+            (["divide", "x^100000000", "2", "3"], 33333333),
+            (["divide", "x^100000000 + x^2*y", "2", "3", "--json"], 33333333),
+        ],
+    )
+    def test_long_division_exit_2_one_line(self, capsys, argv, steps):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: division of {steps} steps exceeds SEMIGROUP_MAX_BOUND=10000000\n"
+
+    @pytest.mark.parametrize("command", ["divide", "kernel"])
+    def test_division_at_cap_answers(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "100")
+        # 90 + 10 steps: exactly at the cap
+        code, out, _ = run(capsys, command, "x^270*y - x^30", "2", "3")
+        assert code == 0
+        assert "in_kernel(divide)=false" in out
+        code, out, err = run(capsys, command, "x^273*y - x^30", "2", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: division of 101 steps exceeds SEMIGROUP_MAX_BOUND=100\n"
+
+    @pytest.mark.parametrize("command", ["divide", "kernel"])
+    def test_non_integer_max_bound_exit_2(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "abc")
+        code, out, err = run(capsys, command, "x^3 - y^2", "2", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: SEMIGROUP_MAX_BOUND must be an integer, got 'abc'\n"
 
 
 class TestHilbertCommand:

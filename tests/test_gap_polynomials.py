@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semialg import gap_polynomials as gp
 from semialg import semigroup_core as sc
@@ -35,6 +36,15 @@ class TestIntPolynomial:
         with pytest.raises(TypeError):
             P([1.5])
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[Fraction(1, 2)], [Fraction(2)], [3, 0.0], [1, Fraction(1, 2), 0], [0.5, -0.5],
+         [Fraction(1, 2), Fraction(-1, 2)], [10**400, 1.5]],
+    )
+    def test_non_int_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            P(coeffs)
+
     def test_arithmetic(self):
         f = P([1, 2])
         g = P([0, 0, 3])
@@ -50,6 +60,43 @@ class TestIntPolynomial:
     def test_str(self):
         assert str(P([1, 0, 0, 1])) == "1 + q^3"
         assert str(P.zero()) == "0"
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+# small and huge coefficients of both signs, then 0-3 trailing zeros
+coefficient_lists = st.builds(
+    lambda coeffs, zeros: coeffs + [0] * zeros,
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)), max_size=12),
+    st.integers(0, 3),
+)
+
+
+class TestIntPolynomialAgainstSympy:
+    @staticmethod
+    def coefficients(poly):
+        """Ascending coefficients of a sympy.Poly, trailing zeros stripped."""
+        coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=coefficient_lists, g=coefficient_lists, negate=st.booleans())
+    def test_arithmetic(self, sympy, f, g, negate):
+        if negate:  # g = -f padded with zeros: the sum cancels to zero
+            g = [-c for c in f] + [0] * len(g)
+        q = sympy.Symbol("q")
+        sf, sg = (sympy.Poly(list(reversed(c)) or [0], q) for c in (f, g))
+        assert (P(f) + P(g)).coefficients == self.coefficients(sf + sg)
+        assert (P(f) - P(g)).coefficients == self.coefficients(sf - sg)
+        assert (P(f) * P(g)).coefficients == self.coefficients(sf * sg)
+        if negate:
+            assert (P(f) + P(g)).is_zero()
+            assert (P(f) - P(f + [0] * len(g))).is_zero()
 
 
 class TestGapPolynomial:
