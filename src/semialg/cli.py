@@ -24,18 +24,36 @@ EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 
 
-def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[], list[str]]) -> int:
-    """Print the JSON envelope, or the lines text_lines() builds; it is not called for --json."""
+_SLOT = "\0"  # result value _emit writes as the fragment; json.dumps prints it as "\u0000"
+
+
+def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[], list[str]],
+          fragment: Callable[[], str] | None = None) -> int:
+    """Print the JSON envelope, or the lines text_lines() builds; it is not called for --json.
+
+    With fragment, the one result value equal to _SLOT is written as the JSON
+    text fragment() returns: a genus-sized array encoded without building it.
+    """
     if args.json:
-        print(json.dumps({"command": command, "inputs": inputs, "result": result}, sort_keys=True))
+        text = json.dumps({"command": command, "inputs": inputs, "result": result}, sort_keys=True)
+        if fragment is None:
+            print(text)
+        else:
+            head, _, tail = text.partition(json.dumps(_SLOT))
+            print(head, fragment(), tail, sep="")
     else:
         for line in text_lines():
             print(line)
     return EXIT_OK
 
 
+def _joined(gaps: tuple[int, ...], sep: str) -> str:
+    """The gaps in decimal with sep between them, from one json.dumps of the tuple."""
+    return json.dumps(gaps)[1:-1].replace(", ", sep)
+
+
 def _gap_line(gaps) -> str:
-    return " ".join(map(str, gaps)) if gaps else "(none)"
+    return _joined(gaps, " ") if gaps else "(none)"
 
 
 def _cmd_frobenius(args) -> int:
@@ -48,7 +66,7 @@ def _cmd_frobenius(args) -> int:
         "gap_count": table.genus,
     }
     if args.gaps:
-        result["gaps"] = list(table.gaps)
+        result["gaps"] = table.gaps
     if args.witness is not None:
         rep = sc.represent_from_table(args.witness, table)
         result["witness"] = None if rep is None else list(rep.coefficients)
@@ -72,18 +90,22 @@ def _cmd_frobenius(args) -> int:
 def _cmd_gaps(args) -> int:
     A = sc.validate_generators(args.generators)
     table = sc.build_table(A)
-    result = {"generators": list(A.elements), "gaps": list(table.gaps), "genus": table.genus}
+    result = {"generators": list(A.elements), "gaps": table.gaps, "genus": table.genus}
     inputs = {"generators": args.generators}
     return _emit(args, "gaps", inputs, result, lambda: [_gap_line(table.gaps)])
 
 
 def _cmd_gap_poly(args) -> int:
     A = sc.validate_generators(args.generators)
-    # f_A has coefficient 1 at each gap, so its JSON terms are the gap list
-    terms = [[n, 1] for n in sc.build_table(A).gaps]
-    result = {"generators": list(A.elements), "terms": terms}
+    gaps = sc.build_table(A).gaps
+    result = {"generators": list(A.elements), "terms": _SLOT}
     inputs = {"generators": args.generators}
-    return _emit(args, "gap-poly", inputs, result, lambda: [str(gp.gap_polynomial(A))])
+    # f_A has coefficient 1 at each gap, and 1 is the first gap whenever there is one
+    return _emit(
+        args, "gap-poly", inputs, result,
+        lambda: ["q" + _joined(gaps, " + q^")[1:] if gaps else "0"],
+        lambda: "[[" + _joined(gaps, ", 1], [") + ", 1]]" if gaps else "[]",
+    )
 
 
 def _pair_checks(a: int, b: int) -> dict[str, bool]:

@@ -85,6 +85,12 @@ def commands():
                 yield [cmd, *map(str, gens)], cap
     for gens in ([3163, 3167], [2503, 2521, 2531]):
         yield ["frobenius", *map(str, gens)], None
+    # genus-sized outputs: 196,560 gaps for the pair, 3,164 and 2,369 for k = 3 and k = 4
+    for gens in ([586, 673], [211, 233, 257], [251, 263, 277, 293]):
+        g = [str(x) for x in gens]
+        for argv in (["gap-poly", *g], ["gaps", *g], ["frobenius", *g, "--gaps"]):
+            yield argv, None
+            yield [*argv, "--json"], None
 
     for a, b in _coprime_pairs(8, 11):
         yield ["verify", str(a), str(b)], None

@@ -96,6 +96,45 @@ class TestGapsAndGapPoly:
         assert out == f"{f}\n"
 
 
+class TestGapOutputParity:
+    """The gap outputs match, byte for byte, the encodings of one container per gap."""
+
+    @staticmethod
+    def envelope(command, gens, result):
+        return json.dumps({"command": command, "inputs": {"generators": gens}, "result": result}, sort_keys=True) + "\n"
+
+    # no gaps ({1}, {1, 7}), one gap, k = 3 and k = 4 in the thousands, and genus 196,560
+    @pytest.mark.parametrize(
+        "gens", [[1], [1, 7], [2, 3], [211, 233, 257], [251, 263, 277, 293], [586, 673]]
+    )
+    def test_gap_outputs_byte_identical(self, capsys, gens):
+        A = sc.validate_generators(gens)
+        f = gp.gap_polynomial(A)
+        gaps = [n for n, _ in f.terms()]
+        line = " ".join(map(str, gaps)) or "(none)"
+        F, g = (max(gaps) if gaps else -1), len(gaps)
+        argv = [str(a) for a in gens]
+        expected = {
+            ("gap-poly",): (
+                self.envelope("gap-poly", gens, {"generators": A.elements, "terms": [[n, 1] for n in gaps]}),
+                f"{f}\n",
+            ),
+            ("gaps",): (
+                self.envelope("gaps", gens, {"generators": A.elements, "gaps": gaps, "genus": g}),
+                f"{line}\n",
+            ),
+            ("frobenius", "--gaps"): (
+                self.envelope("frobenius", gens, {
+                    "generators": A.elements, "frobenius": F, "genus": g, "gap_count": g, "gaps": gaps,
+                }),
+                f"frobenius={F} genus={g} gap_count={g}\ngaps: {line}\n",
+            ),
+        }
+        for (command, *flags), (as_json, as_text) in expected.items():
+            assert run(capsys, command, *argv, *flags, "--json") == (0, as_json, "")
+            assert run(capsys, command, *argv, *flags) == (0, as_text, "")
+
+
 class TestVerifyCommand:
     def test_pair(self, capsys):
         code, out, _ = run(capsys, "verify", "3", "5")
