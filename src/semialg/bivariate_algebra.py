@@ -138,7 +138,9 @@ def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
     the lex-largest first. Each popped term either becomes a quotient term,
     with c/lc(f) times the tail of f subtracted in place, or moves to the
     remainder. The tail only adds lex-smaller monomials, so each enters the
-    heap once and a step costs O(|f| log n).
+    heap once and a step costs O(|f| log n). There is no step cap here: callers
+    dividing outside input by x^b - y^a call check_division_steps first, as
+    cli._cmd_divide and in_kernel do.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -225,21 +227,19 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
 
 
-def distinct_exponent_check(a: int, b: int, j_cap: int | None = None) -> bool:
-    """Exhaustively verify (i,j) -> a*i + b*j is injective on {0..b-1} x {0..j_cap}.
+def distinct_exponent_check(a: int, b: int) -> bool:
+    """Exhaustively verify (i,j) -> a*i + b*j is injective on {0..b-1} x {0..3a}.
 
-    Default cap keeps a*i + b*j <= 3ab, covering everything the identity
+    The cap 3a keeps a*i + b*j <= 3ab, covering everything the identity
     checks can produce at desk scale.
     """
     if a < 1 or b < 1:
         raise ValueError("exponent weights must be positive")
     if math.gcd(a, b) != 1:
         raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
-    if j_cap is None:
-        j_cap = 3 * a
     seen: set[int] = set()
     for i in range(b):
-        for j in range(j_cap + 1):
+        for j in range(3 * a + 1):
             n = a * i + b * j
             if n in seen:
                 return False

@@ -46,8 +46,11 @@ class IntPolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        return cls((0,) * exponent + (coefficient,))
+    def monomial(cls, exponent: int) -> "IntPolynomial":
+        """q^exponent; a negative exponent raises ValueError."""
+        if exponent < 0:
+            raise ValueError(f"monomial exponent must be nonnegative, got {exponent}")
+        return cls((0,) * exponent + (1,))
 
     @property
     def degree(self):
@@ -56,9 +59,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def coefficient(self, n: int) -> int:
-        return self.coefficients[n] if 0 <= n < len(self.coefficients) else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntPolynomial):

@@ -61,6 +61,15 @@ class TestIntPolynomial:
         assert str(P([1, 0, 0, 1])) == "1 + q^3"
         assert str(P.zero()) == "0"
 
+    def test_monomial(self):
+        assert P.monomial(0) == P.one()
+        assert P.monomial(3).coefficients == (0, 0, 0, 1)
+
+    @pytest.mark.parametrize("exponent", [-1, -5])
+    def test_negative_monomial_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match="monomial exponent must be nonnegative"):
+            P.monomial(exponent)
+
 
 @pytest.fixture(scope="module")
 def sympy():

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
 from semialg.bivariate_algebra import Monomial2
@@ -20,14 +19,6 @@ class TestTruncatedSeries:
     def test_mul_truncates(self):
         g = TS.geometric(1, 5)
         assert (g * g).coefficients == (1, 2, 3, 4, 5, 6)
-
-    def test_shift(self):
-        s = TS.geometric(1, 4).shift(2)
-        assert s.coefficients == (0, 0, 1, 1, 1)
-        assert TS.geometric(1, 3).shift(10).coefficients == (0, 0, 0, 0)
-        assert TS.geometric(1, 3).shift(0).coefficients == (1, 1, 1, 1)
-        assert TS.geometric(1, 3).shift(4).coefficients == (0, 0, 0, 0)
-        assert TS.geometric(1, 3).shift(3).coefficients == (0, 0, 0, 1)
 
     def test_str(self):
         assert str(TS(2, [1, 0, 3])) == "1 + 0*q + 3*q^2 + O(q^3)"
@@ -187,7 +178,8 @@ class TestHilbertSeries:
         for a, b in [(2, 3), (3, 5), (4, 7), (9, 11), (13, 17)]:
             product = TS.geometric(a, order) * TS.geometric(b, order)
             assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product
-            assert gh.hilbert_series("kernel", a, b, order) == product.shift(a * b)
+            q_ab = TS(order, [int(n == a * b) for n in range(order + 1)])
+            assert gh.hilbert_series("kernel", a, b, order) == product * q_ab
         for a, b in [(1, 1), (4, 6), (2, 3), (5, 3), (7, 1)]:
             product = TS.geometric(a, order) * TS.geometric(b, order)
             assert gh.euler_product_series(a, b, order) == product
@@ -230,9 +222,35 @@ class TestSeriesIdentity:
                 if math.gcd(a, b) == 1:
                     assert gh.series_identity_check(a, b, a * b + 10)
 
-    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
-    def test_flipped_gap_polynomial_fails(self, monkeypatch, a, b):
-        coeffs = list(gp.gap_polynomial(sc.validate_pair(a, b)).coefficients)
-        coeffs[1] ^= 1  # 1 is a gap of every admissible pair
-        monkeypatch.setattr(gh, "gap_polynomial", lambda A: gp.IntPolynomial(coeffs))
+
+class TestExactSequenceFaults:
+    """A fault in either source of the exact sequence fails both of its checks."""
+
+    @staticmethod
+    def assert_both_fail(a, b):
         assert not gh.series_identity_check(a, b, a * b + 10)
+        assert not gh.rank_nullity_check(a, b, 3 * a * b)
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_flipped_ring_indicator_fails(self, monkeypatch, a, b):
+        true_indicator = sc.SemigroupTable.gap_indicator
+
+        def flipped(table, nmax):
+            is_gap = true_indicator(table, nmax)
+            is_gap[1] ^= 1  # 1 is a gap of every admissible pair
+            return is_gap
+
+        monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", flipped)
+        self.assert_both_fail(a, b)
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_bumped_denumerant_fails(self, monkeypatch, a, b):
+        true_denumerants = gh._denumerants
+
+        def bumped(a, b, nmax):
+            p = true_denumerants(a, b, nmax)
+            p[a * b] += 1  # the first degree where dim K_n is nonzero
+            return p
+
+        monkeypatch.setattr(gh, "_denumerants", bumped)
+        self.assert_both_fail(a, b)
