@@ -15,16 +15,11 @@ from .semigroup_core import (
     SemigroupTable,
     build_table,
     conductor_bound,
-    frobenius_number,
-    genus,
     is_symmetric,
-    represent,
     validate_generators,
 )
 from .gap_polynomials import (
     IntPolynomial,
-    epsilon_symmetry_violations,
-    frobenius_from_degree,
     g_polynomial,
     gap_polynomial,
     reciprocal,
@@ -35,7 +30,6 @@ from .bivariate_algebra import (
     BivariatePolynomial,
     DivisionResult,
     Monomial2,
-    distinct_exponent_check,
     divide,
     in_kernel,
     leading_monomial,
@@ -45,13 +39,11 @@ from .bivariate_algebra import (
 from .graded_hilbert import (
     GradedDims,
     TruncatedSeries,
-    enumerate_basis,
     graded_dims,
     hilbert_series,
     partition_count,
     rank_nullity_check,
-    series_identity_check,
-    surjectivity_witness,
+    rank_nullity_failure,
 )
 
 __version__ = "0.1.0"

@@ -22,9 +22,6 @@ class Monomial2(NamedTuple):
     i: int
     j: int
 
-    def divides(self, other: "Monomial2") -> bool:
-        return self.i <= other.i and self.j <= other.j
-
     def __str__(self) -> str:
         parts = []
         if self.i:
@@ -225,26 +222,6 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
         check_division_steps(g, b)
         return divide(g, BivariatePolynomial.binomial_xb_minus_ya(a, b)).remainder.is_zero()
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
-
-
-def distinct_exponent_check(a: int, b: int) -> bool:
-    """Exhaustively verify (i,j) -> a*i + b*j is injective on {0..b-1} x {0..3a}.
-
-    The cap 3a keeps a*i + b*j <= 3ab, covering everything the identity
-    checks can produce at desk scale.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("exponent weights must be positive")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
-    seen: set[int] = set()
-    for i in range(b):
-        for j in range(3 * a + 1):
-            n = a * i + b * j
-            if n in seen:
-                return False
-            seen.add(n)
-    return True
 
 
 class ParseError(ValueError):

@@ -12,8 +12,6 @@ from operator import add, sub
 
 from .semigroup_core import COMPLEMENT, GeneratorSet, build_table, validate_pair
 
-NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
-
 
 class IntPolynomial:
     """Dense univariate polynomial with integer coefficients, lowest degree first.
@@ -52,11 +50,6 @@ class IntPolynomial:
             raise ValueError(f"monomial exponent must be nonnegative, got {exponent}")
         return cls((0,) * exponent + (1,))
 
-    @property
-    def degree(self):
-        """Degree, or the negative-infinity sentinel for the zero polynomial."""
-        return len(self.coefficients) - 1 if self.coefficients else NEG_INF
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -80,13 +73,6 @@ class IntPolynomial:
             for j, cj in other_terms:
                 out[i + j] += ci * cj
         return IntPolynomial(out)
-
-    def __call__(self, x):
-        """Evaluate at an exact point by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def terms(self) -> list[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs, ascending."""
@@ -148,14 +134,6 @@ def verify_functional_equation(a: int, b: int) -> bool:
     return _cleared_identity(a, b, Q_MINUS_1 * f + IntPolynomial.one())
 
 
-def frobenius_from_degree(a: int, b: int) -> int:
-    """deg f_A for A = {a,b}; the degree argument forces this to be ab - a - b."""
-    d = gap_polynomial(validate_pair(a, b)).degree
-    if d != a * b - a - b:
-        raise RuntimeError(f"degree {d} != {a * b - a - b} for ({a},{b})")
-    return d
-
-
 def reciprocal_duality(a: int, b: int) -> bool:
     """Check that reciprocal(f_A) equals g_A and the reciprocal identity holds."""
     A = validate_pair(a, b)
@@ -163,17 +141,4 @@ def reciprocal_duality(a: int, b: int) -> bool:
     if f_hat != g_polynomial(A):
         return False
     return _cleared_identity(a, b, IntPolynomial.monomial(a * b - a - b + 1) - Q_MINUS_1 * f_hat)
-
-
-def epsilon_symmetry_violations(A: GeneratorSet) -> list[int]:
-    """All n in 0..F(A) where the membership indicators of n and F(A)-n agree.
-
-    Empty exactly when S(A) is symmetric.
-    """
-    table = build_table(A)
-    if not table.genus:
-        raise ValueError("symmetry indicators need at least one gap")
-    F = table.frobenius
-    is_gap = table.gap_indicator(F)
-    return [n for n in range(F + 1) if is_gap[n] == is_gap[F - n]]
 

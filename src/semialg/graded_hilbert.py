@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .bivariate_algebra import Monomial2
 from .semigroup_core import COMPLEMENT, build_table, check_size, validate_pair
 
 SERIES_KINDS = (
@@ -110,17 +109,6 @@ def partition_count(a: int, b: int, n: int) -> int:
     return sum(1 for i in range(n // a + 1) if (n - a * i) % b == 0)
 
 
-def enumerate_basis(a: int, b: int, n: int) -> list[Monomial2]:
-    """All monomials x^i y^j of weighted degree n, sorted by i."""
-    if a < 1 or b < 1:
-        raise ValueError("parts must be positive")
-    return [
-        Monomial2(i, (n - a * i) // b)
-        for i in range(n // a + 1)
-        if (n - a * i) % b == 0
-    ]
-
-
 def _check_order(order: int) -> None:
     """An order must be nonnegative, and its order + 1 coefficients within SEMIGROUP_MAX_BOUND."""
     if order < 0:
@@ -143,19 +131,22 @@ def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
     return GradedDims(full, ring, (0,) * zeros + full[: nmax + 1 - zeros])
 
 
-def rank_nullity_check(a: int, b: int, nmax: int) -> bool:
-    """dim(E_n) == dim(R_n) + dim(K_n) for every n up to nmax, one comparison of whole tables."""
+def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
+    """The least n <= nmax with dim(E_n) != dim(R_n) + dim(K_n), or None if there is none.
+
+    Read as power series, rank-nullity up to nmax is the series identity
+    H_E - q^ab H_E = H_R = 1/(1-q) - f_A(q) up to q^nmax.
+    """
     dims = graded_dims(a, b, nmax)
-    return tuple(map(add, dims.dim_ring, dims.dim_kernel)) == dims.dim_full
+    sums = tuple(map(add, dims.dim_ring, dims.dim_kernel))
+    if sums == dims.dim_full:  # one comparison of whole tables; only a failure is scanned
+        return None
+    return next(n for n, (s, e) in enumerate(zip(sums, dims.dim_full)) if s != e)
 
 
-def surjectivity_witness(a: int, b: int, n: int) -> Monomial2:
-    """A monomial x^i y^j with a*i + b*j = n, for n in the semigroup."""
-    validate_pair(a, b)
-    basis = enumerate_basis(a, b, n)
-    if not basis:
-        raise ValueError(f"{n} is a gap of the semigroup generated by {a} and {b}")
-    return basis[0]
+def rank_nullity_check(a: int, b: int, nmax: int) -> bool:
+    """dim(E_n) == dim(R_n) + dim(K_n) for every n up to nmax."""
+    return rank_nullity_failure(a, b, nmax) is None
 
 
 def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> TruncatedSeries:
@@ -178,28 +169,6 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
     dims = graded_dims(a, b, order)
     fields = {"full_ring_frobenius": dims.dim_full, "semigroup_ring": dims.dim_ring, "kernel": dims.dim_kernel}
     return TruncatedSeries(order, fields[which])
-
-
-def euler_product_series(a: int, b: int, order: int) -> TruncatedSeries:
-    """1 / ((1-q^a)(1-q^b)) truncated; no coprimality requirement."""
-    if a < 1 or b < 1:
-        raise ValueError("parts must be positive")
-    _check_order(order)
-    return TruncatedSeries(order, _denumerants(a, b, order))
-
-
-def series_identity_check(a: int, b: int, order: int) -> bool:
-    """H_E - q^ab H_E == H_R = 1/(1-q) - f_A up to q^order: the exact sequence as power series.
-
-    Read coefficient by coefficient it is rank-nullity, so this is rank_nullity_check's
-    one comparison at order. Requires order >= ab + 1 so every gap of f_A is visible.
-    """
-    validate_pair(a, b)
-    ab = a * b
-    if order < ab + 1:
-        raise ValueError(f"order must be at least ab + 1 = {ab + 1}")
-    _check_order(order)
-    return rank_nullity_check(a, b, order)
 
 
 def series_to_json(s: TruncatedSeries) -> dict:

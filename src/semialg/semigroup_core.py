@@ -54,9 +54,6 @@ class GeneratorSet:
         if self.gcd != 1:
             raise NotNumericalSemigroupError(self.gcd)
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(a) for a in self.elements) + "}"
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -196,16 +193,6 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
     )
 
 
-def frobenius_number(A: GeneratorSet) -> int:
-    """Largest integer not in S(A); -1 when S(A) is all of N_0."""
-    return build_table(A).frobenius
-
-
-def genus(A: GeneratorSet) -> int:
-    """Number of gaps of S(A)."""
-    return build_table(A).genus
-
-
 def is_symmetric(A: GeneratorSet) -> bool:
     """True iff n not in S(A) implies F(A) - n in S(A).
 
@@ -217,14 +204,8 @@ def is_symmetric(A: GeneratorSet) -> bool:
     return 2 * table.genus == table.frobenius + 1
 
 
-def represent(n: int, A: GeneratorSet) -> Representation | None:
-    """A nonnegative-coefficient representation of n over A, or None for gaps."""
-    table = build_table(A)
-    return represent_from_table(n, table)
-
-
 def represent_from_table(n: int, table: SemigroupTable) -> Representation | None:
-    """Like represent(), reusing an already-built table.
+    """A nonnegative-coefficient representation of n over the table's generators, or None for gaps.
 
     n = apery[r] + t * a1 with r = n mod a1; apery[r] is spelled out by
     walking its shortest path back to residue 0, which visits each residue

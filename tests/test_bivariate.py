@@ -132,7 +132,7 @@ class TestDivide:
             q, r = biv.divide(g, f)
             assert q * f + r == g
             lm = biv.leading_monomial(f)
-            assert all(not lm.divides(m) for m in r.terms)
+            assert all(not (lm.i <= m.i and lm.j <= m.j) for m in r.terms)
 
 
 class TestDivideAgainstBinomialNormalForm:
@@ -293,27 +293,6 @@ class TestInKernel:
             multiple = h * B.binomial_xb_minus_ya(a, b)
             assert biv.in_kernel(multiple, a, b, "evaluate")
             assert biv.in_kernel(multiple, a, b, "divide")
-
-
-class TestDistinctExponentCheck:
-    def test_examples(self):
-        assert biv.distinct_exponent_check(3, 5)
-        assert biv.distinct_exponent_check(2, 3)
-
-    def test_sweep(self):
-        for a in range(1, 10):
-            for b in range(1, 10):
-                if math.gcd(a, b) == 1:
-                    assert biv.distinct_exponent_check(a, b)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            biv.distinct_exponent_check(4, 6)
-
-    @pytest.mark.parametrize("a, b", [(-3, 1), (0, 1)])
-    def test_non_positive_weights_rejected(self, a, b):
-        with pytest.raises(ValueError, match="exponent weights must be positive"):
-            biv.distinct_exponent_check(a, b)
 
 
 class TestParser:

@@ -148,6 +148,25 @@ class TestVerifyCommand:
         # 22 coprime pairs with 2 <= a < b <= 10 (counted by brute force)
         assert "22 pairs, 22 PASS" in out
 
+    def test_pair_reads_the_exact_sequence_once(self, capsys, monkeypatch):
+        calls = {"graded_dims": 0, "build_table": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(gh, "graded_dims", counted("graded_dims", gh.graded_dims))
+        original = sc.build_table
+        for module in (sc, gp, gh):
+            assert module.build_table is original
+            monkeypatch.setattr(module, "build_table", counted("build_table", original))
+        assert run(capsys, "verify", "29", "31")[0] == 0
+        # S(A) for f_A in the functional equation, for f_A and g_A in the
+        # reciprocal duality, and for dim R_n in the one rank-nullity pass
+        assert calls == {"graded_dims": 1, "build_table": 4}
+
     def test_sweep_20_pair_count(self, capsys):
         import math
 

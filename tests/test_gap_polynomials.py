@@ -25,10 +25,6 @@ def poly_from_exponents(exponents):
 
 
 class TestIntPolynomial:
-    def test_zero_degree_sentinel(self):
-        assert P.zero().degree == gp.NEG_INF
-        assert P.zero().degree != -1
-
     def test_trailing_zeros_stripped(self):
         assert P([1, 2, 0, 0]).coefficients == (1, 2)
 
@@ -51,11 +47,6 @@ class TestIntPolynomial:
         assert (f + g).coefficients == (1, 2, 3)
         assert (f * g).coefficients == (0, 0, 3, 6)
         assert (g - g).is_zero()
-
-    def test_evaluation(self):
-        f = P([1, 0, 2])  # 1 + 2q^2
-        assert f(3) == 19
-        assert f(0) == 1
 
     def test_str(self):
         assert str(P([1, 0, 0, 1])) == "1 + q^3"
@@ -123,7 +114,7 @@ class TestGapPolynomial:
     def test_evaluation_at_one_is_genus(self):
         for elements in [(3, 5), (2, 7), (3, 4, 5), (4, 7, 9)]:
             A = gens(*elements)
-            assert gp.gap_polynomial(A)(1) == sc.genus(A)
+            assert sum(gp.gap_polynomial(A).coefficients) == sc.build_table(A).genus
 
 
 class TestReciprocal:
@@ -161,7 +152,7 @@ class TestGPolynomial:
     def test_partition_of_interval(self):
         for elements in [(3, 5), (2, 7), (3, 4, 5), (5, 7, 9)]:
             A = gens(*elements)
-            F = sc.frobenius_number(A)
+            F = sc.build_table(A).frobenius
             total = gp.gap_polynomial(A) + gp.g_polynomial(A)
             assert total == P([1] * (F + 1))
 
@@ -209,36 +200,18 @@ class TestClearedIdentityCanFail:
 
 
 class TestFrobeniusFromDegree:
+    """deg f_A = F(A): the top coefficient of f_A sits at the Frobenius number."""
+
     def test_examples(self):
-        assert gp.frobenius_from_degree(3, 5) == 7
-        assert gp.frobenius_from_degree(2, 3) == 1
-        assert gp.frobenius_from_degree(5, 7) == 23
+        for elements, F in [((3, 5), 7), ((2, 3), 1), ((5, 7), 23), ((3, 4, 5), 2)]:
+            assert len(gp.gap_polynomial(gens(*elements)).coefficients) - 1 == F
 
     def test_degree_law_sweep(self):
         for a in range(2, 41):
             for b in range(a + 1, 41):
                 if math.gcd(a, b) == 1:
-                    assert gp.frobenius_from_degree(a, b) == a * b - a - b
-
-    def test_wrong_degree_raises(self, monkeypatch):
-        monkeypatch.setattr(gp, "gap_polynomial", lambda A: P.monomial(3))
-        with pytest.raises(RuntimeError, match="degree 3 != 7"):
-            gp.frobenius_from_degree(3, 5)
-
-
-class TestEpsilonSymmetry:
-    def test_examples(self):
-        assert gp.epsilon_symmetry_violations(gens(3, 5)) == []
-        assert gp.epsilon_symmetry_violations(gens(3, 4, 5)) == [1]
-        assert gp.epsilon_symmetry_violations(gens(2, 7)) == []
-
-    def test_matches_is_symmetric(self):
-        for elements in [(3, 5), (3, 4, 5), (4, 7, 9), (5, 6, 7), (3, 7, 11)]:
-            A = gens(*elements)
-            violations = gp.epsilon_symmetry_violations(A)
-            assert (violations == []) == sc.is_symmetric(A)
-            t = sc.build_table(A)
-            assert (violations == []) == (2 * t.genus == t.frobenius + 1)
+                    f = gp.gap_polynomial(gens(a, b))
+                    assert len(f.coefficients) - 1 == a * b - a - b
 
 
 def sets_with_three_or_four_generators(seed, count):
@@ -253,7 +226,7 @@ def sets_with_three_or_four_generators(seed, count):
 
 
 class TestIndicatorsAgainstNaiveMembers:
-    """f_A, g_A and the symmetry scan of k = 3 and 4 sets against brute-force membership."""
+    """f_A and g_A of k = 3 and 4 sets against brute-force membership."""
 
     @pytest.mark.parametrize(
         "elements", [(4, 5, 6), (3, 4, 5), (6, 7, 8, 9)] + sets_with_three_or_four_generators(11, 25)
@@ -264,5 +237,3 @@ class TestIndicatorsAgainstNaiveMembers:
         F = max(n for n, m in enumerate(member) if not m)
         assert gp.gap_polynomial(A) == P([0 if m else 1 for m in member[: F + 1]])
         assert gp.g_polynomial(A) == P([1 if m else 0 for m in member[: F + 1]])
-        expected = [n for n in range(F + 1) if member[n] == member[F - n]]
-        assert gp.epsilon_symmetry_violations(A) == expected

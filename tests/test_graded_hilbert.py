@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from semialg import cli
+from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
-from semialg.bivariate_algebra import Monomial2
 
 from oracles import naive_members, naive_partition_count
 
@@ -43,18 +44,6 @@ class TestPartitionCount:
                 if math.gcd(a, b) == 1:
                     for n in range(a * b):
                         assert gh.partition_count(a, b, n) <= 1
-
-
-class TestEnumerateBasis:
-    def test_examples(self):
-        assert gh.enumerate_basis(3, 5, 8) == [Monomial2(1, 1)]
-        assert gh.enumerate_basis(3, 5, 7) == []
-        assert gh.enumerate_basis(3, 5, 15) == [Monomial2(0, 3), Monomial2(5, 0)]
-
-    def test_length_matches_count(self):
-        for n in range(60):
-            assert len(gh.enumerate_basis(3, 5, n)) == gh.partition_count(3, 5, n)
-            assert len(gh.enumerate_basis(4, 6, n)) == gh.partition_count(4, 6, n)
 
 
 class TestGradedDims:
@@ -116,9 +105,7 @@ class TestGradedDims:
         with pytest.raises(sc.BoundTooLargeError, match=message):
             gh.hilbert_series("univariate", None, None, 50)
         with pytest.raises(sc.BoundTooLargeError, match=message):
-            gh.euler_product_series(3, 5, 50)
-        with pytest.raises(sc.BoundTooLargeError, match=message):
-            gh.series_identity_check(3, 5, 50)
+            gh.rank_nullity_failure(3, 5, 50)
 
 
 class TestRankNullity:
@@ -132,16 +119,6 @@ class TestRankNullity:
             for b in range(a + 1, 21):
                 if math.gcd(a, b) == 1:
                     assert gh.rank_nullity_check(a, b, 3 * a * b)
-
-
-class TestSurjectivityWitness:
-    def test_examples(self):
-        assert gh.surjectivity_witness(3, 5, 8) == Monomial2(1, 1)
-        assert gh.surjectivity_witness(3, 5, 0) == Monomial2(0, 0)
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            gh.surjectivity_witness(3, 5, 7)
 
 
 class TestHilbertSeries:
@@ -180,9 +157,6 @@ class TestHilbertSeries:
             assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product
             q_ab = TS(order, [int(n == a * b) for n in range(order + 1)])
             assert gh.hilbert_series("kernel", a, b, order) == product * q_ab
-        for a, b in [(1, 1), (4, 6), (2, 3), (5, 3), (7, 1)]:
-            product = TS.geometric(a, order) * TS.geometric(b, order)
-            assert gh.euler_product_series(a, b, order) == product
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -194,42 +168,67 @@ class TestHilbertSeries:
 
 
 class TestEulerProduct:
+    """H_E(q) = 1/((1-q^a)(1-q^b)), read through hilbert_series("full_ring_frobenius", ...)."""
+
     @pytest.mark.parametrize("order", [-1, -4])
     def test_negative_order_rejected(self, order):
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
-            gh.euler_product_series(3, 5, order)
+            gh.hilbert_series("full_ring_frobenius", 3, 5, order)
 
     def test_order_500(self):
-        for a, b in [(3, 5), (2, 3), (1, 1), (4, 6)]:
-            s = gh.euler_product_series(a, b, 500)
-            for n in range(501):
-                assert s.coefficients[n] == gh.partition_count(a, b, n)
+        for a, b in [(3, 5), (2, 3), (5, 8)]:
+            product = TS.geometric(a, 500) * TS.geometric(b, 500)
+            assert gh.hilbert_series("full_ring_frobenius", a, b, 500) == product
 
 
 class TestSeriesIdentity:
-    def test_examples(self):
-        assert gh.series_identity_check(3, 5, 100)
-        assert gh.series_identity_check(2, 3, 50)
-        assert gh.series_identity_check(4, 9, 200)
+    """H_E - q^ab H_E = H_R = 1/(1-q) - f_A(q), coefficient by coefficient up to the order."""
 
-    def test_order_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            gh.series_identity_check(3, 5, 15)
+    @staticmethod
+    def assert_identity(a, b, order):
+        full = gh.hilbert_series("full_ring_frobenius", a, b, order).coefficients
+        ring = gh.hilbert_series("semigroup_ring", a, b, order).coefficients
+        f = gp.gap_polynomial(sc.validate_pair(a, b)).coefficients
+        ab = a * b
+        for n in range(order + 1):
+            assert full[n] - (full[n - ab] if n >= ab else 0) == ring[n]
+            assert ring[n] == 1 - (f[n] if n < len(f) else 0)
+
+    def test_examples(self):
+        self.assert_identity(3, 5, 100)
+        self.assert_identity(2, 3, 50)
+        self.assert_identity(4, 9, 200)
 
     def test_sweep(self):
         for a in range(2, 31):
             for b in range(a + 1, 31):
                 if math.gcd(a, b) == 1:
-                    assert gh.series_identity_check(a, b, a * b + 10)
+                    self.assert_identity(a, b, a * b + 10)
 
 
 class TestExactSequenceFaults:
-    """A fault in either source of the exact sequence fails both of its checks."""
+    """A fault in either source of the exact sequence fails every check that reaches its degree.
+
+    verify reads both checks off one rank-nullity pass at 3ab: the series identity
+    sees degrees up to ab + 10, rank-nullity all of them.
+    """
 
     @staticmethod
-    def assert_both_fail(a, b):
-        assert not gh.series_identity_check(a, b, a * b + 10)
-        assert not gh.rank_nullity_check(a, b, 3 * a * b)
+    def verify_checks(a, b):
+        checks = cli._pair_checks(a, b)
+        return checks["series_identity"], checks["rank_nullity"]
+
+    @staticmethod
+    def bump_denumerant(monkeypatch, degree):
+        true_denumerants = gh._denumerants
+
+        def bumped(a, b, nmax):
+            p = true_denumerants(a, b, nmax)
+            if degree(a, b) <= nmax:
+                p[degree(a, b)] += 1
+            return p
+
+        monkeypatch.setattr(gh, "_denumerants", bumped)
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_flipped_ring_indicator_fails(self, monkeypatch, a, b):
@@ -241,16 +240,21 @@ class TestExactSequenceFaults:
             return is_gap
 
         monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", flipped)
-        self.assert_both_fail(a, b)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) == 1
+        assert not gh.rank_nullity_check(a, b, 3 * a * b)
+        assert self.verify_checks(a, b) == (False, False)
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_bumped_denumerant_fails(self, monkeypatch, a, b):
-        true_denumerants = gh._denumerants
+        # ab is the first degree where dim K_n is nonzero
+        self.bump_denumerant(monkeypatch, lambda a, b: a * b)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) == a * b
+        assert not gh.rank_nullity_check(a, b, 3 * a * b)
+        assert self.verify_checks(a, b) == (False, False)
 
-        def bumped(a, b, nmax):
-            p = true_denumerants(a, b, nmax)
-            p[a * b] += 1  # the first degree where dim K_n is nonzero
-            return p
-
-        monkeypatch.setattr(gh, "_denumerants", bumped)
-        self.assert_both_fail(a, b)
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_fault_past_series_order_fails_rank_nullity_only(self, monkeypatch, a, b):
+        self.bump_denumerant(monkeypatch, lambda a, b: 2 * a * b)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) == 2 * a * b
+        assert gh.rank_nullity_failure(a, b, a * b + 10) is None
+        assert self.verify_checks(a, b) == (True, False)

@@ -200,12 +200,12 @@ class TestSharpSylvester:
 
 class TestFrobeniusGenus:
     def test_examples(self):
-        assert sc.frobenius_number(gens(3, 5)) == 7
-        assert sc.frobenius_number(gens(2, 3)) == 1
-        assert sc.frobenius_number(gens(3, 4, 5)) == 2
-        assert sc.genus(gens(3, 5)) == 4
-        assert sc.genus(gens(1, 7)) == 0
-        assert sc.genus(gens(3, 4, 5)) == 2
+        assert sc.build_table(gens(3, 5)).frobenius == 7
+        assert sc.build_table(gens(2, 3)).frobenius == 1
+        assert sc.build_table(gens(3, 4, 5)).frobenius == 2
+        assert sc.build_table(gens(3, 5)).genus == 4
+        assert sc.build_table(gens(1, 7)).genus == 0
+        assert sc.build_table(gens(3, 4, 5)).genus == 2
 
 
 class TestSymmetry:
@@ -225,9 +225,10 @@ class TestSymmetry:
 
 class TestRepresent:
     def test_examples(self):
-        assert sc.represent(8, gens(3, 5)).coefficients == (1, 1)
-        assert sc.represent(7, gens(3, 5)) is None
-        assert sc.represent(0, gens(3, 5)).coefficients == (0, 0)
+        t = sc.build_table(gens(3, 5))
+        assert sc.represent_from_table(8, t).coefficients == (1, 1)
+        assert sc.represent_from_table(7, t) is None
+        assert sc.represent_from_table(0, t).coefficients == (0, 0)
 
     def test_witness_soundness(self):
         for elements in [(3, 5), (3, 4, 5), (4, 9), (5, 7, 11)]:
@@ -243,9 +244,10 @@ class TestRepresent:
 
     def test_large_n_always_represented(self):
         A = gens(3, 5)
+        t = sc.build_table(A)
         bound = sc.conductor_bound(A)
         for n in [bound, bound + 1, bound + 17, 10**6 + 1]:
-            rep = sc.represent(n, A)
+            rep = sc.represent_from_table(n, t)
             assert rep is not None
             assert rep.value(A) == n
 
