@@ -11,9 +11,10 @@ import heapq
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, NamedTuple
 
-from .semigroup_core import check_size
+from .semigroup_core import BoundTooLargeError, check_size, max_bound
 
 
 class Monomial2(NamedTuple):
@@ -31,8 +32,16 @@ class Monomial2(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+# Monomial2 from an (i, j) pair, without the Python-level NamedTuple __new__.
+_monomial = partial(tuple.__new__, Monomial2)
+
+
 class BivariatePolynomial:
-    """Finite map from monomials to nonzero Fraction coefficients."""
+    """Finite map from monomials to nonzero Fraction coefficients.
+
+    Built from ints and Fractions only: a float, Decimal or any other
+    coefficient raises TypeError.
+    """
 
     __slots__ = ("terms",)
 
@@ -41,10 +50,19 @@ class BivariatePolynomial:
         if terms:
             for m, c in terms.items():
                 if type(c) is not Fraction:
+                    if type(c) is not int:
+                        raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
                     c = Fraction(c)
                 if c:
                     cleaned[m if type(m) is Monomial2 else Monomial2(*m)] = c
         self.terms = cleaned
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial2, Fraction]) -> "BivariatePolynomial":
+        """Wrap a dict that already maps Monomial2 keys to nonzero Fractions, unchecked."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -127,6 +145,15 @@ def leading_monomial(f: BivariatePolynomial) -> Monomial2:
     return max(f.terms)
 
 
+def _ratios(g: BivariatePolynomial) -> tuple[int, list[tuple[int, int]]]:
+    """L, the lcm of the denominators of g, and (numerator, denominator) per term of g.
+
+    L // d * n is then the integer L*c of a coefficient c = n/d.
+    """
+    ratios = [c.as_integer_ratio() for c in g.terms.values()]
+    return math.lcm(*[d for _, d in ratios]), ratios
+
+
 def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
     """Single-divisor lex reduction: g = quotient*f + remainder.
 
@@ -135,42 +162,58 @@ def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
     the lex-largest first. Each popped term either becomes a quotient term,
     with c/lc(f) times the tail of f subtracted in place, or moves to the
     remainder. The tail only adds lex-smaller monomials, so each enters the
-    heap once and a step costs O(|f| log n). There is no step cap here: callers
-    dividing outside input by x^b - y^a call check_division_steps first, as
-    cli._cmd_divide and in_kernel do.
+    heap once and a step costs O(|f| log n).
+
+    The work terms are L*g, L the lcm of the denominators of g, so they are
+    ints, and so is each tail coefficient -c/lc(f) that is integral (always,
+    for x^b - y^a); any other tail coefficient stays a Fraction and carries
+    the work terms it touches. Each quotient and remainder term becomes one
+    Fraction at the end. More than SEMIGROUP_MAX_BOUND quotient steps raise
+    BoundTooLargeError; check_division_steps refuses a division by x^b - y^a
+    before it starts.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lm_f = leading_monomial(f)
+    cap = max_bound()
+    li, lj = lm_f = leading_monomial(f)
     lc_f = f.terms[lm_f]
-    # Tail terms as (offset from lm_f in negated exponents, -c / lc(f)).
-    tail = [
-        (lm_f.i - m.i, lm_f.j - m.j, -c / lc_f) for m, c in f.terms.items() if m != lm_f
-    ]
+    # Tail terms as (offset from lm_f in negated exponents, -c / lc(f)); an integral -c / lc(f) as an int.
+    tail = [(li - m.i, lj - m.j, -c / lc_f) for m, c in f.terms.items() if m != lm_f]
+    tail = [(di, dj, t.numerator if t.denominator == 1 else t) for di, dj, t in tail]
 
-    work = {(-m.i, -m.j): c for m, c in g.terms.items()}
+    L, ratios = _ratios(g)
+    work = {(-i, -j): L // d * n for (i, j), (n, d) in zip(g.terms, ratios)}
     heap = list(work)
     heapq.heapify(heap)
-    quotient: dict[Monomial2, Fraction] = {}
-    remainder: dict[Monomial2, Fraction] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    q, r = {}, {}  # quotient and remainder terms by work key, scaled by L and lc(f)
     while heap:
-        key = heapq.heappop(heap)
+        key = heappop(heap)
         c = work.pop(key)
         if not c:
             continue
         ni, nj = key
-        if lm_f.i <= -ni and lm_f.j <= -nj:
-            quotient[Monomial2(-ni - lm_f.i, -nj - lm_f.j)] = c / lc_f
+        if li <= -ni and lj <= -nj:
+            if len(q) >= cap:
+                raise BoundTooLargeError(
+                    f"division of more than {cap} steps exceeds SEMIGROUP_MAX_BOUND={cap}"
+                )
+            q[key] = c
             for di, dj, t in tail:
                 k = (ni + di, nj + dj)
                 if k in work:
                     work[k] += c * t
                 else:
                     work[k] = c * t
-                    heapq.heappush(heap, k)
+                    heappush(heap, k)
         else:
-            remainder[Monomial2(-ni, -nj)] = c
-    return DivisionResult(BivariatePolynomial(quotient), BivariatePolynomial(remainder))
+            r[key] = c
+    n_f, d_f = lc_f.as_integer_ratio()  # a quotient term is c / (lc(f) * L) = c * d_f / (n_f * L)
+    quotient = {
+        _monomial((-ni - li, -nj - lj)): Fraction(c * d_f, n_f * L) for (ni, nj), c in q.items()
+    }
+    remainder = {_monomial((-ni, -nj)): Fraction(c, L) for (ni, nj), c in r.items()}
+    return DivisionResult(BivariatePolynomial._of(quotient), BivariatePolynomial._of(remainder))
 
 
 def check_weights(a: int, b: int) -> None:
@@ -190,14 +233,17 @@ def check_weights(a: int, b: int) -> None:
 def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     """Image of g under x -> t^a, y -> t^b: the nonzero coefficients of g(t^a, t^b) by degree.
 
-    Sparse, so its cost does not grow with the exponents.
+    Sparse, so its cost does not grow with the exponents. The sums run over
+    the integer numerators of L*g, L the lcm of the denominators of g, and
+    only a nonzero sum becomes a Fraction: a kernel member builds none.
     """
     check_weights(a, b)
-    sums: dict[int, Fraction] = {}
-    for m, c in g.terms.items():
-        n = a * m.i + b * m.j
-        sums[n] = sums[n] + c if n in sums else c
-    return {n: c for n, c in sums.items() if c}
+    L, ratios = _ratios(g)
+    sums: dict[int, int] = {}
+    for (i, j), (n, d) in zip(g.terms, ratios):
+        k, c = a * i + b * j, L // d * n
+        sums[k] = sums[k] + c if k in sums else c
+    return {k: Fraction(c, L) for k, c in sums.items() if c}
 
 
 def check_division_steps(g: BivariatePolynomial, b: int) -> None:
@@ -234,9 +280,12 @@ class ParseError(ValueError):
 
 _TERM_RE = re.compile(
     r"""
-    (?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?   # optional rational coefficient
-    (?:(?P<x>x)(?:\^(?P<xi>\d+))?)? \*?                        # optional x part
-    (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
+    (?P<sign>[+-])? \s*                                          # the sign before the term
+    (?P<term>
+      (?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?   # optional rational coefficient
+      (?:(?P<x>x)(?:\^(?P<xi>\d+))?)? \*?                        # optional x part
+      (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
+    ) \s*                                                        # blanks up to the next sign
     """,
     re.VERBOSE,
 )
@@ -246,51 +295,56 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
     """Parse terms like `3*x^2*y - 1/2*y^4 + 7` in any order.
 
     Only the first term may carry a leading '-'; a sign that follows another
-    sign (`x - -y`) is an error at the second sign.
+    sign (`x - -y`) is an error at the second sign. One match of _TERM_RE
+    reads a term with its sign and the blanks after it, so the loop runs once
+    per term. An integer coefficient becomes Fraction(n), and only p/q a
+    Fraction(p, q); equal monomials are summed into the term dict as they come.
     """
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial expression", 1)
-    triples = []
-    pos = 0
-    negative = False
-    expect_term = True
-    while pos < len(s):
-        ch = s[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-":
-            # s is stripped, so past column 1 only a sign leaves expect_term set.
-            if expect_term and pos:
-                raise ParseError(f"sign {ch!r} follows another sign", pos + 1)
-            if expect_term and ch == "+":
-                raise ParseError("unexpected '+'", pos + 1)
-            negative = ch == "-"
-            pos += 1
-            expect_term = True
-            continue
-        if not expect_term:
-            raise ParseError(f"expected '+' or '-' before {ch!r}", pos + 1)
+    terms: dict[Monomial2, Fraction] = {}
+    pos, end = 0, len(s)
+    while pos < end:
+        # Every part of _TERM_RE is optional, so it always matches; s is
+        # stripped and each match takes the blanks after its term, so s[pos]
+        # is never a blank.
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"cannot parse term starting at {ch!r}", pos + 1)
-        if s[m.end() - 1] == "*":
-            raise ParseError("dangling '*' at end of term", m.end())
-        num, den, x, xi, y, yj = m.group("num", "den", "x", "xi", "y", "yj")
-        num = int(num) if num else 1
-        den = int(den) if den else 1
-        if not den:
-            raise ParseError(f"zero denominator in {m.group('coeff')!r}", pos + 1)
-        xi = int(xi) if xi else (1 if x else 0)
-        yj = int(yj) if yj else (1 if y else 0)
-        triples.append((xi, yj, Fraction(-num if negative else num, den)))
+        sign, _, coeff, num, den, x, xi, y, yj = m.groups()
+        start, stop = m.span(2)
+        if sign is None and pos:
+            raise ParseError(f"expected '+' or '-' before {s[pos]!r}", pos + 1)
+        if sign == "+" and not pos:
+            raise ParseError("unexpected '+'", 1)
+        if start == stop:
+            if start == end:
+                raise ParseError("dangling operator at end of expression", end)
+            if s[start] in "+-":
+                raise ParseError(f"sign {s[start]!r} follows another sign", start + 1)
+            raise ParseError(f"cannot parse term starting at {s[start]!r}", start + 1)
+        if s[stop - 1] == "*":
+            raise ParseError("dangling '*' at end of term", stop)
+        n = int(num) if num else 1
+        if sign == "-":
+            n = -n
+        if den is None:
+            c = Fraction(n)
+        elif int(den):
+            c = Fraction(n, int(den))
+        else:
+            raise ParseError(f"zero denominator in {coeff!r}", start + 1)
+        key = _monomial((int(xi) if xi else (1 if x else 0), int(yj) if yj else (1 if y else 0)))
+        if key not in terms:
+            if n:
+                terms[key] = c
+        else:
+            c += terms[key]
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
         pos = m.end()
-        negative = False
-        expect_term = False
-    if expect_term:
-        raise ParseError("dangling operator at end of expression", len(s))
-    return BivariatePolynomial.from_terms(triples)
+    return BivariatePolynomial._of(terms)
 
 
 def bivariate_to_json(g: BivariatePolynomial) -> list[list]:

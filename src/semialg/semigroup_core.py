@@ -28,13 +28,18 @@ class BoundTooLargeError(ValueError):
     """Raised when a table or series would exceed SEMIGROUP_MAX_BOUND."""
 
 
-def check_size(what: str, size: int, unit: str) -> None:
-    """Raise BoundTooLargeError when size exceeds SEMIGROUP_MAX_BOUND (default 10^7)."""
+def max_bound() -> int:
+    """SEMIGROUP_MAX_BOUND from the environment (default 10^7); ValueError if not an integer."""
     raw = os.environ.get("SEMIGROUP_MAX_BOUND")
     try:
-        cap = DEFAULT_MAX_BOUND if raw is None else int(raw)
+        return DEFAULT_MAX_BOUND if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"SEMIGROUP_MAX_BOUND must be an integer, got {raw!r}") from None
+
+
+def check_size(what: str, size: int, unit: str) -> None:
+    """Raise BoundTooLargeError when size exceeds SEMIGROUP_MAX_BOUND."""
+    cap = max_bound()
     if size > cap:
         raise BoundTooLargeError(f"{what} of {size} {unit} exceeds SEMIGROUP_MAX_BOUND={cap}")
 

@@ -58,11 +58,42 @@ GENERATOR_SETS = [
     [0, 3], [-3, 5], [17, 23, 29], [31, 37],
 ]
 
+def _term(c: int, den: int, i: int, j: int) -> str:
+    """One term of a long expression: a signed coefficient c/den times x^i y^j."""
+    mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", i), ("y", j)) if e)
+    coeff = f"{abs(c)}/{den}" if den != 1 else str(abs(c))
+    body = coeff if not mono else (mono if (abs(c), den) == (1, 1) else f"{coeff}*{mono}")
+    return ("- " if c < 0 else "+ ") + body
+
+
+def _long_expression(seed: int, member: bool) -> str:
+    """About 200 terms with denominators 1..12, from a fixed formula (no RNG).
+
+    With member set, every term pair is c*x^i*y^j*(x^3 - y^2), so the whole
+    expression lies in the kernel of x -> t^2, y -> t^3.
+    """
+    terms = []
+    for k in range(100 if member else 200):
+        c = (k * k * seed + 7 * k) % 97 - 48 or 1
+        den = 1 + (k * seed) % 12
+        i, j = (k * seed * 7) % 41, (k * 13 + seed) % 29
+        if member:
+            terms += [_term(c, den, i + 3, j), _term(-c, den, i, j + 2)]
+        else:
+            terms.append(_term(c, den, i, j))
+    text = " ".join(terms)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
 EXPRESSIONS = [
     "x^4", "x^3 - y^2", "x^5 - y^3", "x^4 - y^2 + 3", "3*x^2*y - 1/2*y^4 + 7", "x^6 - y^4",
     "-x^3 + y^2", "2*x^3*y - 2*y^3", "0", "7", "x*y", "x^10 - y^6", "1/3*x^3 - 1/3*y^2",
+    # layouts: no spaces, tabs, leading blanks, a cancelling sum, an unreduced fraction
+    "x+y-2*x", "x\t-\ty", "  -1/2*x^2", "x + x - 2*x", "6/4*x",
+    _long_expression(5, member=False), _long_expression(11, member=True),
     # parse errors (exit 3)
     "x - -y", "3*", "x*", "1/0*x", "x +", "x^", "2**x", "q^2", "",
+    "+x", "x - +y", "x y",
 ]
 
 

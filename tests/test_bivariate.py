@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,30 @@ coprime_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
 
 def as_dict(p):
     return {(m.i, m.j): c for m, c in p.terms.items()}
+
+
+class TestExactCoefficients:
+    """Coefficients are ints or Fractions only; anything else is a TypeError, never a rounded value."""
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, Decimal("0.1"), Decimal(3)])
+    def test_inexact_coefficient_rejected(self, bad):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            B({(1, 0): bad})
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            B.from_terms([(1, 0, bad)])
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            B.from_terms([(0, 1, 1), (1, 0, bad)])
+
+    def test_float_beside_huge_int_rejected(self):
+        with pytest.raises(TypeError, match="got float"):
+            B({(2, 0): 10**400, (1, 0): 0.5})
+        with pytest.raises(TypeError, match="got float"):
+            B.from_terms([(2, 0, 10**400), (1, 0, 0.5)])
+
+    def test_ints_and_fractions_kept_exact(self):
+        g = B.from_terms([(1, 0, 3), (0, 1, Fraction(1, 3)), (1, 0, Fraction(-3))])
+        assert g == bp((0, 1, Fraction(1, 3)))
+        assert all(type(c) is Fraction for c in B({(0, 0): 7, (1, 1): Fraction(2, 4)}).terms.values())
 
 
 class TestMonomialOrder:
@@ -135,6 +160,61 @@ class TestDivide:
             assert all(not (lm.i <= m.i and lm.j <= m.j) for m in r.terms)
 
 
+class TestDivisionStepCap:
+    """divide counts its quotient steps against SEMIGROUP_MAX_BOUND itself."""
+
+    @pytest.mark.parametrize("divisor", ["x^3 - y^2", "x^3 - 2*y^2"])
+    def test_cap_steps_answered_one_more_refused(self, monkeypatch, divisor):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "100")
+        f = biv.parse_bivariate(divisor)
+        q, r = biv.divide(bp((300, 0, 1)), f)  # x^300: 100 steps of x^3
+        assert len(q.terms) == 100
+        assert q * f + r == bp((300, 0, 1))
+        refusal = "division of more than 100 steps exceeds SEMIGROUP_MAX_BOUND=100"
+        with pytest.raises(BoundTooLargeError, match=refusal):
+            biv.divide(bp((303, 0, 1)), f)
+
+
+# denominators with lcm 3*7*11*13*17*19 = 969969
+PRIME_DENOMINATORS = bp(
+    *(
+        (k, 10 - k, Fraction((-1) ** k * (k + 2), d))
+        for k, d in enumerate((3, 7, 11, 13, 17, 19, 21, 33, 969969))
+    )
+)
+
+
+def all_fractions(*polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+class TestIntegerNumerators:
+    """divide and phi_evaluate work over integer numerators but return Fractions only."""
+
+    def test_large_lcm_denominators(self):
+        for a, b in [(2, 3), (3, 5), (1, 4)]:
+            f = B.binomial_xb_minus_ya(a, b)
+            q, r = biv.divide(PRIME_DENOMINATORS, f)
+            assert all_fractions(q, r)
+            assert q * f + r == PRIME_DENOMINATORS
+            assert as_dict(r) == binomial_normal_form(as_dict(PRIME_DENOMINATORS), a, b)
+            image = biv.phi_evaluate(PRIME_DENOMINATORS, a, b)
+            assert image and all(type(c) is Fraction for c in image.values())
+            assert image == biv.phi_evaluate(r, a, b)
+
+    def test_integral_quotient_and_remainder_are_fractions(self):
+        q, r = biv.divide(bp((4, 0, 2), (0, 0, 6)), B.binomial_xb_minus_ya(2, 3))
+        assert q == bp((1, 0, 2)) and r == bp((1, 2, 2), (0, 0, 6))
+        assert all_fractions(q, r)
+
+    def test_members_map_to_empty_dict(self):
+        for a, b in [(2, 3), (3, 5), (1, 4)]:
+            member = PRIME_DENOMINATORS * B.binomial_xb_minus_ya(a, b)
+            assert biv.phi_evaluate(member, a, b) == {}
+            q, r = biv.divide(member, B.binomial_xb_minus_ya(a, b))
+            assert q == PRIME_DENOMINATORS and r.is_zero() and all_fractions(q)
+
+
 class TestDivideAgainstBinomialNormalForm:
     """Division by x^b - y^a against the closed form in tests/oracles.py."""
 
@@ -198,6 +278,12 @@ class TestDivideAgainstSympy:
     @given(g=sparse_polys(max_terms=12, max_exp=8), f=sparse_polys(max_terms=4, max_exp=5, min_terms=2))
     def test_general_divisor(self, sympy, g, f):
         self.check(sympy, g, f)
+
+    def test_non_monic_rational_divisor(self, sympy):
+        f = biv.parse_bivariate("2*x^2 - 1/3*y")
+        for g in (PRIME_DENOMINATORS, biv.parse_bivariate("5/4*x^5*y - 7*x^2 + 1/6"), f * f):
+            self.check(sympy, g, f)
+            assert all_fractions(*biv.divide(g, f))
 
 
 class TestPhiEvaluate:

@@ -8,11 +8,17 @@ from collections import defaultdict
 
 import pytest
 
-from make_cli_corpus import DEFAULT_PATH, run
+from make_cli_corpus import DEFAULT_PATH, commands, run
 
+RECORDED = json.loads(DEFAULT_PATH.read_text())
 ENTRIES = defaultdict(list)
-for _entry in json.loads(DEFAULT_PATH.read_text()):
+for _entry in RECORDED:
     ENTRIES[_entry["argv"][0]].append(_entry)
+
+
+def test_corpus_is_recorded_from_the_generator():
+    """An edited generator that was not re-run shows here, not as a silent gap."""
+    assert [(e["argv"], e["cap"]) for e in RECORDED] == list(commands())
 
 
 def test_corpus_covers_every_subcommand():
