@@ -154,23 +154,12 @@ def _ratios(g: BivariatePolynomial) -> tuple[int, list[tuple[int, int]]]:
     return math.lcm(*[d for _, d in ratios]), ratios
 
 
-def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
-    """Single-divisor lex reduction: g = quotient*f + remainder.
+def _divide_numerators(g: BivariatePolynomial, f: BivariatePolynomial) -> tuple[int, dict, dict]:
+    """The integer work of divide: L and the quotient and remainder terms by work key (-i, -j).
 
-    No monomial of the remainder is divisible by the leading monomial of f.
-    Work terms sit in one dict keyed by (-i, -j); a heap of those keys pops
-    the lex-largest first. Each popped term either becomes a quotient term,
-    with c/lc(f) times the tail of f subtracted in place, or moves to the
-    remainder. The tail only adds lex-smaller monomials, so each enters the
-    heap once and a step costs O(|f| log n).
-
-    The work terms are L*g, L the lcm of the denominators of g, so they are
-    ints, and so is each tail coefficient -c/lc(f) that is integral (always,
-    for x^b - y^a); any other tail coefficient stays a Fraction and carries
-    the work terms it touches. Each quotient and remainder term becomes one
-    Fraction at the end. More than SEMIGROUP_MAX_BOUND quotient steps raise
-    BoundTooLargeError; check_division_steps refuses a division by x^b - y^a
-    before it starts.
+    A quotient term c stands for c / (lc(f) * L) times x^(i - li) y^(j - lj),
+    (li, lj) the leading monomial of f; a remainder term c for c / L times
+    x^i y^j. Every term kept is nonzero, so g is in (f) iff the remainder is empty.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -208,7 +197,30 @@ def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
                     heappush(heap, k)
         else:
             r[key] = c
-    n_f, d_f = lc_f.as_integer_ratio()  # a quotient term is c / (lc(f) * L) = c * d_f / (n_f * L)
+    return L, q, r
+
+
+def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
+    """Single-divisor lex reduction: g = quotient*f + remainder.
+
+    No monomial of the remainder is divisible by the leading monomial of f.
+    Work terms sit in one dict keyed by (-i, -j); a heap of those keys pops
+    the lex-largest first. Each popped term either becomes a quotient term,
+    with c/lc(f) times the tail of f subtracted in place, or moves to the
+    remainder. The tail only adds lex-smaller monomials, so each enters the
+    heap once and a step costs O(|f| log n).
+
+    The work terms are L*g, L the lcm of the denominators of g, so they are
+    ints, and so is each tail coefficient -c/lc(f) that is integral (always,
+    for x^b - y^a); any other tail coefficient stays a Fraction and carries
+    the work terms it touches. Each quotient and remainder term becomes one
+    Fraction at the end. More than SEMIGROUP_MAX_BOUND quotient steps raise
+    BoundTooLargeError; check_division_steps refuses a division by x^b - y^a
+    before it starts.
+    """
+    L, q, r = _divide_numerators(g, f)
+    li, lj = lm_f = leading_monomial(f)
+    n_f, d_f = f.terms[lm_f].as_integer_ratio()  # a quotient term is c / (lc(f) * L) = c * d_f / (n_f * L)
     quotient = {
         _monomial((-ni - li, -nj - lj)): Fraction(c * d_f, n_f * L) for (ni, nj), c in q.items()
     }
@@ -266,7 +278,8 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
         return not phi_evaluate(g, a, b)
     if method == "divide":
         check_division_steps(g, b)
-        return divide(g, BivariatePolynomial.binomial_xb_minus_ya(a, b)).remainder.is_zero()
+        _, _, remainder = _divide_numerators(g, BivariatePolynomial.binomial_xb_minus_ya(a, b))
+        return not remainder
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
 
 

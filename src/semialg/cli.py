@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from itertools import compress
 
 from . import bivariate_algebra as biv
 from . import gap_polynomials as gp
@@ -28,11 +29,12 @@ _SLOT = "\0"  # result value _emit writes as the fragment; json.dumps prints it 
 
 
 def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[], list[str]],
-          fragment: Callable[[], str] | None = None) -> int:
+          fragment: Callable[[], list[str]] | None = None) -> int:
     """Print the JSON envelope, or the lines text_lines() builds; it is not called for --json.
 
     With fragment, the one result value equal to _SLOT is written as the JSON
-    text fragment() returns: a genus-sized array encoded without building it.
+    text whose pieces fragment() returns: a genus-sized array printed piece by
+    piece, never built as one string.
     """
     if args.json:
         text = json.dumps({"command": command, "inputs": inputs, "result": result}, sort_keys=True)
@@ -40,20 +42,45 @@ def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[
             print(text)
         else:
             head, _, tail = text.partition(json.dumps(_SLOT))
-            print(head, fragment(), tail, sep="")
+            print(head, *fragment(), tail, sep="")
     else:
         for line in text_lines():
             print(line)
     return EXIT_OK
 
 
-def _joined(gaps: tuple[int, ...], sep: str) -> str:
-    """The gaps in decimal with sep between them, from one json.dumps of the tuple."""
-    return json.dumps(gaps)[1:-1].replace(", ", sep)
+@functools.cache
+def _decimal_tokens(padded: bool) -> tuple[str, ...]:
+    """The 1000 strings "0" ... "999", or "000" ... "999" when padded."""
+    return tuple(f"{n:03}" if padded else str(n) for n in range(1000))
 
 
-def _gap_line(gaps) -> str:
-    return _joined(gaps, " ") if gaps else "(none)"
+def _gap_pieces(table: sc.SemigroupTable, sep: str) -> list[str]:
+    """The gaps of table in decimal with sep between them, as pieces that concatenate to that text.
+
+    Read off the gap indicator of 0..F in blocks of 1000, with no int per gap:
+    block h > 0 is sep + str(h) before the three digits of each of its gaps,
+    so compress picks existing strings and join copies them, and the Python
+    loop runs F/1000 times. A block without gaps adds no piece. For F = -1
+    the one piece is "".
+    """
+    ind = table.gap_indicator(table.frobenius)
+    pieces = [sep.join(compress(_decimal_tokens(False), ind[:1000]))]
+    low = _decimal_tokens(True)
+    for start in range(1000, len(ind), 1000):
+        prefix = sep + str(start // 1000)
+        block = prefix.join(compress(low, ind[start:start + 1000]))
+        if block:
+            pieces.append(prefix + block)
+    return pieces
+
+
+def _gap_line(table: sc.SemigroupTable) -> str:
+    return "".join(_gap_pieces(table, " ")) if table.genus else "(none)"
+
+
+def _gap_array(table: sc.SemigroupTable) -> list[str]:
+    return ["[", *_gap_pieces(table, ", "), "]"]
 
 
 def _cmd_frobenius(args) -> int:
@@ -66,7 +93,7 @@ def _cmd_frobenius(args) -> int:
         "gap_count": table.genus,
     }
     if args.gaps:
-        result["gaps"] = table.gaps
+        result["gaps"] = _SLOT
     if args.witness is not None:
         rep = sc.represent_from_table(args.witness, table)
         result["witness"] = None if rep is None else list(rep.coefficients)
@@ -74,7 +101,7 @@ def _cmd_frobenius(args) -> int:
     def lines():
         out = [f"frobenius={table.frobenius} genus={table.genus} gap_count={table.genus}"]
         if args.gaps:
-            out.append("gaps: " + _gap_line(table.gaps))
+            out.append("gaps: " + _gap_line(table))
         if args.witness is None:
             return out
         if rep is None:
@@ -84,27 +111,37 @@ def _cmd_frobenius(args) -> int:
             out.append(f"witness({args.witness}): r={list(rep.coefficients)} [{terms}]")
         return out
 
-    return _emit(args, "frobenius", {"generators": args.generators}, result, lines)
+    gap_array = functools.partial(_gap_array, table) if args.gaps else None
+    return _emit(args, "frobenius", {"generators": args.generators}, result, lines, gap_array)
 
 
 def _cmd_gaps(args) -> int:
     A = sc.validate_generators(args.generators)
     table = sc.build_table(A)
-    result = {"generators": list(A.elements), "gaps": table.gaps, "genus": table.genus}
+    result = {"generators": list(A.elements), "gaps": _SLOT, "genus": table.genus}
     inputs = {"generators": args.generators}
-    return _emit(args, "gaps", inputs, result, lambda: [_gap_line(table.gaps)])
+    gap_array = functools.partial(_gap_array, table)
+    return _emit(args, "gaps", inputs, result, lambda: [_gap_line(table)], gap_array)
+
+
+def _poly_pieces(table: sc.SemigroupTable, sep: str, first: str, last: str) -> list[str]:
+    """The gap pieces with sep, the leading gap 1 written as first and last appended.
+
+    f_A has coefficient 1 at each gap, and 1 is the first gap whenever there is one.
+    """
+    pieces = _gap_pieces(table, sep)
+    return [first, pieces[0][1:], *pieces[1:], last]
 
 
 def _cmd_gap_poly(args) -> int:
     A = sc.validate_generators(args.generators)
-    gaps = sc.build_table(A).gaps
+    table = sc.build_table(A)
     result = {"generators": list(A.elements), "terms": _SLOT}
     inputs = {"generators": args.generators}
-    # f_A has coefficient 1 at each gap, and 1 is the first gap whenever there is one
     return _emit(
         args, "gap-poly", inputs, result,
-        lambda: ["q" + _joined(gaps, " + q^")[1:] if gaps else "0"],
-        lambda: "[[" + _joined(gaps, ", 1], [") + ", 1]]" if gaps else "[]",
+        lambda: ["".join(_poly_pieces(table, " + q^", "q", "")) if table.genus else "0"],
+        lambda: _poly_pieces(table, ", 1], [", "[[1", ", 1]]") if table.genus else ["[]"],
     )
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
 
 DEFAULT_MAX_BOUND = 10**7
 
@@ -106,13 +104,6 @@ class SemigroupTable:
         for r, end in enumerate(ends):
             is_gap[r:end:a1] = b"\x01" * -((r - end) // a1)  # ceil((end - r) / a1) ones
         return is_gap
-
-    @cached_property
-    def gaps(self) -> tuple[int, ...]:
-        """The genus-many gaps in ascending order, built on first access."""
-        F = self.frobenius
-        # via a list: tuple() of an iterator grows by resizing, which fragments the heap
-        return tuple(list(compress(range(F + 1), self.gap_indicator(F))))
 
 
 # bytes.translate table swapping 0 and 1: a gap indicator becomes a membership indicator

@@ -122,6 +122,14 @@ def commands():
         for argv in (["gap-poly", *g], ["gaps", *g], ["frobenius", *g, "--gaps"]):
             yield argv, None
             yield [*argv, "--json"], None
+    # gap lists across the thousand-blocks of their text: F = 999, 1001, 1,001,999 and
+    # 1,003,001 for the pairs (the last with no gap in 1,002,000..1,002,999), F = 1000 and
+    # 206,843 for k = 3
+    for gens in ([11, 101], [3, 502], [1001, 1003], [1002, 1003], [29, 73, 80], [1009, 1013, 1019]):
+        g = [str(x) for x in gens]
+        for argv in (["gaps", *g], ["gap-poly", *g], ["frobenius", *g, "--gaps"]):
+            yield argv, None
+            yield [*argv, "--json"], None
 
     for a, b in _coprime_pairs(8, 11):
         yield ["verify", str(a), str(b)], None

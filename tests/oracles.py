@@ -101,3 +101,11 @@ def sparse_mul(f, g):
         for n2, c2 in g.items():
             out[n1 + n2] = out.get(n1 + n2, 0) + c1 * c2
     return {n: c for n, c in out.items() if c != 0}
+
+
+def gaps_of(table):
+    """The gaps of a SemigroupTable as a tuple of ints, read off its gap indicator of 0..F.
+
+    Not an oracle: a reader of the library's table, for tests that compare a gap list.
+    """
+    return tuple(n for n, is_gap in enumerate(table.gap_indicator(table.frobenius)) if is_gap)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import gaps_of, naive_gaps
 from semialg import cli
 from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
@@ -53,7 +56,7 @@ class TestFrobeniusCommand:
     def test_gap_count_is_genus(self, capsys):
         code, out, _ = run(capsys, "frobenius", "4", "7", "9", "--json")
         result = json.loads(out)["result"]
-        assert result["gap_count"] == result["genus"] == len(sc.build_table(sc.validate_generators([4, 7, 9])).gaps)
+        assert result["gap_count"] == result["genus"] == len(gaps_of(sc.build_table(sc.validate_generators([4, 7, 9]))))
 
     def test_gaps_and_witness(self, capsys):
         code, out, _ = run(capsys, "frobenius", "3", "5", "--gaps", "--witness", "8")
@@ -67,7 +70,7 @@ class TestFrobeniusCommand:
         table = sc.build_table(sc.validate_generators([3, 5]))
         assert payload["result"]["frobenius"] == table.frobenius
         assert payload["result"]["genus"] == table.genus
-        assert payload["result"]["gaps"] == list(table.gaps)
+        assert payload["result"]["gaps"] == list(gaps_of(table))
 
 
 class TestGapsAndGapPoly:
@@ -133,6 +136,49 @@ class TestGapOutputParity:
         for (command, *flags), (as_json, as_text) in expected.items():
             assert run(capsys, command, *argv, *flags, "--json") == (0, as_json, "")
             assert run(capsys, command, *argv, *flags) == (0, as_text, "")
+
+
+# the separators of the gap outputs: gaps, frobenius --gaps, gap-poly text and gap-poly --json
+SEPARATORS = (" ", ", ", " + q^", ", 1], [")
+
+
+def int_gap_text(gaps, sep):
+    """The gaps in decimal with sep between them, from one json.dumps of the list of ints."""
+    return json.dumps(list(gaps))[1:-1].replace(", ", sep)
+
+
+class TestGapText:
+    """The gap text written from the gap indicator in blocks of 1000 equals the text of the int list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2, 700), min_size=2, max_size=4, unique=True)
+        .filter(lambda elements: math.gcd(*elements) == 1)
+    )
+    def test_matches_the_int_list(self, elements):
+        table = sc.build_table(sc.validate_generators(elements))
+        for sep in SEPARATORS:
+            assert "".join(cli._gap_pieces(table, sep)) == int_gap_text(gaps_of(table), sep)
+
+    # F = -1, F = 1, F = 999, F = 1000, F = 1001, and F past 10^6 with 4-digit block prefixes
+    @pytest.mark.parametrize(
+        "elements, F",
+        [([1], -1), ([2, 3], 1), ([11, 101], 999), ([29, 73, 80], 1000), ([3, 502], 1001),
+         ([1001, 1003], 1_001_999), ([1002, 1003], 1_003_001)],
+    )
+    def test_block_edges(self, elements, F):
+        table = sc.build_table(sc.validate_generators(elements))
+        assert table.frobenius == F
+        gaps = naive_gaps(elements, F)
+        for sep in SEPARATORS:
+            assert "".join(cli._gap_pieces(table, sep)) == int_gap_text(gaps, sep)
+
+    def test_block_without_gaps(self):
+        # {1002, 1003} has no gap in 1,002,000..1,002,999, below F = 1,003,001
+        table = sc.build_table(sc.validate_generators([1002, 1003]))
+        pieces = cli._gap_pieces(table, " ")
+        assert pieces[-2].endswith(" 1001998 1001999")
+        assert pieces[-1] == " 1003001"
 
 
 class TestVerifyCommand:
