@@ -3,7 +3,7 @@
 Subpackages:
     semigroup_core    Apery sets, membership, Frobenius number, genus, witnesses
     gap_polynomials   f_A(q), reciprocals, the functional equation
-    bivariate_algebra lex division and the monomial-map kernel
+    bivariate_algebra division by x^b - y^a and the monomial-map kernel
     graded_hilbert    denumerants, graded dimensions, Hilbert series
     cli               deterministic command-line front end
 """
@@ -32,7 +32,6 @@ from .bivariate_algebra import (
     Monomial2,
     divide,
     in_kernel,
-    leading_monomial,
     parse_bivariate,
     phi_evaluate,
 )

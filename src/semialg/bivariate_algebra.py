@@ -1,20 +1,20 @@
 """Sparse bivariate polynomials over exact rationals with lex monomial order.
 
-Implements single-divisor lexicographic division, the monomial ring map
-x -> t^a, y -> t^b, and two independent membership tests for its kernel
+Implements division by x^b - y^a through its binomial normal form (the
+remainder of x^i y^j is x^(i mod b) y^(j + a*floor(i/b))), the monomial ring
+map x -> t^a, y -> t^b, and two independent membership tests for its kernel
 (the principal ideal generated by x^b - y^a).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, NamedTuple
 
-from .semigroup_core import BoundTooLargeError, check_size, max_bound
+from .semigroup_core import check_size
 
 
 class Monomial2(NamedTuple):
@@ -65,10 +65,6 @@ class BivariatePolynomial:
         return p
 
     @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls()
-
-    @classmethod
     def from_terms(cls, triples: Iterable[tuple[int, int, object]]) -> "BivariatePolynomial":
         terms: dict[Monomial2, Fraction] = {}
         for i, j, c in triples:
@@ -111,7 +107,7 @@ class BivariatePolynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
         """Terms in lex-descending order (deterministic printing)."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -120,7 +116,7 @@ class BivariatePolynomial:
         for m, c in self.sorted_terms():
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            if m == Monomial2(0, 0):
+            if m == (0, 0):
                 body = str(mag)
             elif mag == 1:
                 body = str(m)
@@ -138,94 +134,11 @@ class DivisionResult(NamedTuple):
     remainder: BivariatePolynomial
 
 
-def leading_monomial(f: BivariatePolynomial) -> Monomial2:
-    """Lex-largest monomial with nonzero coefficient."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no leading monomial")
-    return max(f.terms)
-
-
-def _ratios(g: BivariatePolynomial) -> tuple[int, list[tuple[int, int]]]:
-    """L, the lcm of the denominators of g, and (numerator, denominator) per term of g.
-
-    L // d * n is then the integer L*c of a coefficient c = n/d.
-    """
+def _numerators(g: BivariatePolynomial) -> tuple[int, list[int]]:
+    """L, the lcm of the denominators of g, and the integer L*c per term c of g."""
     ratios = [c.as_integer_ratio() for c in g.terms.values()]
-    return math.lcm(*[d for _, d in ratios]), ratios
-
-
-def _divide_numerators(g: BivariatePolynomial, f: BivariatePolynomial) -> tuple[int, dict, dict]:
-    """The integer work of divide: L and the quotient and remainder terms by work key (-i, -j).
-
-    A quotient term c stands for c / (lc(f) * L) times x^(i - li) y^(j - lj),
-    (li, lj) the leading monomial of f; a remainder term c for c / L times
-    x^i y^j. Every term kept is nonzero, so g is in (f) iff the remainder is empty.
-    """
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    cap = max_bound()
-    li, lj = lm_f = leading_monomial(f)
-    lc_f = f.terms[lm_f]
-    # Tail terms as (offset from lm_f in negated exponents, -c / lc(f)); an integral -c / lc(f) as an int.
-    tail = [(li - m.i, lj - m.j, -c / lc_f) for m, c in f.terms.items() if m != lm_f]
-    tail = [(di, dj, t.numerator if t.denominator == 1 else t) for di, dj, t in tail]
-
-    L, ratios = _ratios(g)
-    work = {(-i, -j): L // d * n for (i, j), (n, d) in zip(g.terms, ratios)}
-    heap = list(work)
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    q, r = {}, {}  # quotient and remainder terms by work key, scaled by L and lc(f)
-    while heap:
-        key = heappop(heap)
-        c = work.pop(key)
-        if not c:
-            continue
-        ni, nj = key
-        if li <= -ni and lj <= -nj:
-            if len(q) >= cap:
-                raise BoundTooLargeError(
-                    f"division of more than {cap} steps exceeds SEMIGROUP_MAX_BOUND={cap}"
-                )
-            q[key] = c
-            for di, dj, t in tail:
-                k = (ni + di, nj + dj)
-                if k in work:
-                    work[k] += c * t
-                else:
-                    work[k] = c * t
-                    heappush(heap, k)
-        else:
-            r[key] = c
-    return L, q, r
-
-
-def divide(g: BivariatePolynomial, f: BivariatePolynomial) -> DivisionResult:
-    """Single-divisor lex reduction: g = quotient*f + remainder.
-
-    No monomial of the remainder is divisible by the leading monomial of f.
-    Work terms sit in one dict keyed by (-i, -j); a heap of those keys pops
-    the lex-largest first. Each popped term either becomes a quotient term,
-    with c/lc(f) times the tail of f subtracted in place, or moves to the
-    remainder. The tail only adds lex-smaller monomials, so each enters the
-    heap once and a step costs O(|f| log n).
-
-    The work terms are L*g, L the lcm of the denominators of g, so they are
-    ints, and so is each tail coefficient -c/lc(f) that is integral (always,
-    for x^b - y^a); any other tail coefficient stays a Fraction and carries
-    the work terms it touches. Each quotient and remainder term becomes one
-    Fraction at the end. More than SEMIGROUP_MAX_BOUND quotient steps raise
-    BoundTooLargeError; check_division_steps refuses a division by x^b - y^a
-    before it starts.
-    """
-    L, q, r = _divide_numerators(g, f)
-    li, lj = lm_f = leading_monomial(f)
-    n_f, d_f = f.terms[lm_f].as_integer_ratio()  # a quotient term is c / (lc(f) * L) = c * d_f / (n_f * L)
-    quotient = {
-        _monomial((-ni - li, -nj - lj)): Fraction(c * d_f, n_f * L) for (ni, nj), c in q.items()
-    }
-    remainder = {_monomial((-ni, -nj)): Fraction(c, L) for (ni, nj), c in r.items()}
-    return DivisionResult(BivariatePolynomial._of(quotient), BivariatePolynomial._of(remainder))
+    L = math.lcm(*[d for _, d in ratios])
+    return L, [L // d * n for n, d in ratios]
 
 
 def check_weights(a: int, b: int) -> None:
@@ -242,6 +155,60 @@ def check_weights(a: int, b: int) -> None:
         raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
 
 
+def check_division_steps(g: BivariatePolynomial, b: int) -> None:
+    """Refuse a division of g by x^b - y^a of more than SEMIGROUP_MAX_BOUND steps.
+
+    A term x^i y^j adds floor(i / b) terms to the quotient sum, so the sum
+    over the terms of g counts the steps and bounds the quotient's size.
+    """
+    check_size("division", sum(m.i // b for m in g.terms), "steps")
+
+
+def _remainder_numerators(g: BivariatePolynomial, numerators: list[int], a: int, b: int) -> dict:
+    """L times the remainder of g modulo x^b - y^a, by (i, j); zero sums are kept.
+
+    x^b = y^a modulo the divisor, so x^i y^j reduces to x^(i - bs) y^(j + as),
+    s = floor(i / b).
+    """
+    r: dict[tuple[int, int], int] = {}
+    for (i, j), c in zip(g.terms, numerators):
+        s = i // b
+        key = (i - b * s, j + a * s)
+        r[key] = r[key] + c if key in r else c
+    return r
+
+
+def _fractions(terms: dict, L: int) -> BivariatePolynomial:
+    """The polynomial of the nonzero terms c / L, c an integer numerator by (i, j)."""
+    return BivariatePolynomial._of({_monomial(m): Fraction(c, L) for m, c in terms.items() if c})
+
+
+def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
+    """Division by x^b - y^a: g = quotient*(x^b - y^a) + remainder, each remainder x-degree below b.
+
+    The binomial normal form: with s = floor(i / b), a term x^i y^j of g is
+    x^(i - bs) y^(j + as) plus (x^b - y^a) times the sum of
+    x^(i - b(t + 1)) y^(j + at) over t < s. Such a quotient and remainder
+    are unique, so they are those of lex division by x^b - y^a.
+
+    The sums run over the integer numerators of L*g, L the lcm of the
+    denominators of g, and each nonzero quotient or remainder term becomes
+    one Fraction at the end. The quotient steps, the sum of floor(i / b),
+    are checked against SEMIGROUP_MAX_BOUND before any work.
+    """
+    check_weights(a, b)
+    check_division_steps(g, b)
+    L, numerators = _numerators(g)
+    q: dict[tuple[int, int], int] = {}
+    for (i, j), c in zip(g.terms, numerators):
+        if i >= b:
+            # the keys (i - b(t + 1), j + at) for t < s = i // b
+            for key in zip(range(i - b, -1, -b), range(j, j + a * (i // b), a)):
+                q[key] = q[key] + c if key in q else c
+    r = _remainder_numerators(g, numerators, a, b)
+    return DivisionResult(_fractions(q, L), _fractions(r, L))
+
+
 def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     """Image of g under x -> t^a, y -> t^b: the nonzero coefficients of g(t^a, t^b) by degree.
 
@@ -250,21 +217,12 @@ def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     only a nonzero sum becomes a Fraction: a kernel member builds none.
     """
     check_weights(a, b)
-    L, ratios = _ratios(g)
+    L, numerators = _numerators(g)
     sums: dict[int, int] = {}
-    for (i, j), (n, d) in zip(g.terms, ratios):
-        k, c = a * i + b * j, L // d * n
+    for (i, j), c in zip(g.terms, numerators):
+        k = a * i + b * j
         sums[k] = sums[k] + c if k in sums else c
     return {k: Fraction(c, L) for k, c in sums.items() if c}
-
-
-def check_division_steps(g: BivariatePolynomial, b: int) -> None:
-    """Refuse a division of g by x^b - y^a of more than SEMIGROUP_MAX_BOUND steps.
-
-    Lex reduction takes floor(i / b) quotient steps for a term x^i y^j, so
-    the sum over the terms of g bounds the steps and the quotient's size.
-    """
-    check_size("division", sum(m.i // b for m in g.terms), "steps")
 
 
 def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") -> bool:
@@ -278,8 +236,8 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
         return not phi_evaluate(g, a, b)
     if method == "divide":
         check_division_steps(g, b)
-        _, _, remainder = _divide_numerators(g, BivariatePolynomial.binomial_xb_minus_ya(a, b))
-        return not remainder
+        _, numerators = _numerators(g)
+        return not any(_remainder_numerators(g, numerators, a, b).values())
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
 
 
@@ -364,5 +322,5 @@ def bivariate_to_json(g: BivariatePolynomial) -> list[list]:
     """JSON form: [i, j, coefficient] triples in lex-descending order."""
     out = []
     for m, c in g.sorted_terms():
-        out.append([m.i, m.j, int(c) if c.denominator == 1 else str(c)])
+        out.append([m.i, m.j, c.numerator if c.denominator == 1 else str(c)])
     return out

@@ -26,18 +26,16 @@ class BoundTooLargeError(ValueError):
     """Raised when a table or series would exceed SEMIGROUP_MAX_BOUND."""
 
 
-def max_bound() -> int:
-    """SEMIGROUP_MAX_BOUND from the environment (default 10^7); ValueError if not an integer."""
+def check_size(what: str, size: int, unit: str) -> None:
+    """Raise BoundTooLargeError when size exceeds SEMIGROUP_MAX_BOUND (default 10^7).
+
+    The cap is read from the environment at each call; ValueError if it is not an integer.
+    """
     raw = os.environ.get("SEMIGROUP_MAX_BOUND")
     try:
-        return DEFAULT_MAX_BOUND if raw is None else int(raw)
+        cap = DEFAULT_MAX_BOUND if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"SEMIGROUP_MAX_BOUND must be an integer, got {raw!r}") from None
-
-
-def check_size(what: str, size: int, unit: str) -> None:
-    """Raise BoundTooLargeError when size exceeds SEMIGROUP_MAX_BOUND."""
-    cap = max_bound()
     if size > cap:
         raise BoundTooLargeError(f"{what} of {size} {unit} exceeds SEMIGROUP_MAX_BOUND={cap}")
 
