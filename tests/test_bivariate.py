@@ -119,6 +119,27 @@ class TestDivide:
         assert q.is_zero()
         assert r == g
 
+    def test_zero_divisor_rejected(self):
+        # x^0 - y^0 is the zero polynomial: weights 0, 0 are refused
+        with pytest.raises(ValueError, match="must be positive"):
+            biv.divide(bp((1, 0, 1)), 0, 0)
+
+    @pytest.mark.parametrize(
+        "i, j, a, b, quotient, remainder",
+        [
+            # x^7 = (x^4 + x*y^2)(x^3 - y^2) + x*y^4
+            (7, 0, 2, 3, [(4, 0), (1, 2)], (1, 4)),
+            # x^6*y = (x^4*y + x^2*y^4 + y^7)(x^2 - y^3) + y^10
+            (6, 1, 3, 2, [(4, 1), (2, 4), (0, 7)], (0, 10)),
+            # x^5*y^2 = (x^4*y^2 + x^3*y^4 + x^2*y^6 + x*y^8 + y^10)(x - y^2) + y^12
+            (5, 2, 2, 1, [(4, 2), (3, 4), (2, 6), (1, 8), (0, 10)], (0, 12)),
+        ],
+    )
+    def test_monomial_normal_form(self, i, j, a, b, quotient, remainder):
+        q, r = biv.divide(bp((i, j, 1)), a, b)
+        assert q == bp(*((qi, qj, 1) for qi, qj in quotient))
+        assert r == bp((*remainder, 1))
+
     def test_random_division_correctness(self):
         rng = random.Random(20)
         for _ in range(100):
@@ -133,15 +154,19 @@ class TestDivide:
 class TestDivisionStepCap:
     """divide counts its quotient steps against SEMIGROUP_MAX_BOUND before any work."""
 
-    def test_cap_steps_answered_one_more_refused(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "a, b", [(2, 3), (2, 5), (3, 2)], ids=["x^3 - y^2", "x^5 - y^2", "x^2 - y^3"]
+    )
+    def test_cap_steps_answered_one_more_refused(self, monkeypatch, a, b):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "100")
-        f = B.binomial_xb_minus_ya(2, 3)
-        q, r = biv.divide(bp((300, 0, 1)), 2, 3)  # x^300: 100 steps of x^3
+        f = B.binomial_xb_minus_ya(a, b)
+        g = bp((100 * b, 0, 1))  # x^(100b): 100 steps of x^b
+        q, r = biv.divide(g, a, b)
         assert len(q.terms) == 100
-        assert q * f + r == bp((300, 0, 1))
+        assert q * f + r == g
         refusal = "division of 101 steps exceeds SEMIGROUP_MAX_BOUND=100"
         with pytest.raises(BoundTooLargeError, match=refusal):
-            biv.divide(bp((303, 0, 1)), 2, 3)
+            biv.divide(bp((101 * b, 0, 1)), a, b)
 
     def test_huge_exponent_refused_at_once(self, monkeypatch):
         monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
@@ -431,3 +456,15 @@ class TestParser:
     def test_printer_descending_lex(self):
         g = bp((0, 2, 1), (3, 0, 1), (1, 1, -2))
         assert str(g) == "x^3 - 2*x*y + y^2"
+
+
+class TestToJson:
+    def test_lex_descending_triples(self):
+        g = bp((0, 2, 1), (3, 0, 1), (1, 1, -2), (0, 0, 5))
+        assert biv.bivariate_to_json(g) == [[3, 0, 1], [1, 1, -2], [0, 2, 1], [0, 0, 5]]
+
+    def test_integral_coefficients_are_ints_others_strings(self):
+        g = bp((2, 0, Fraction(6, 3)), (1, 0, Fraction(-1, 2)), (0, 0, Fraction(10**30)))
+        out = biv.bivariate_to_json(g)
+        assert out == [[2, 0, 2], [1, 0, "-1/2"], [0, 0, 10**30]]
+        assert [type(c) for _, _, c in out] == [int, str, int]
