@@ -29,7 +29,6 @@ from .gap_polynomials import (
 from .bivariate_algebra import (
     BivariatePolynomial,
     DivisionResult,
-    Monomial2,
     divide,
     in_kernel,
     parse_bivariate,

@@ -1,9 +1,11 @@
 """Sparse bivariate polynomials over exact rationals with lex monomial order.
 
-Implements division by x^b - y^a through its binomial normal form (the
-remainder of x^i y^j is x^(i mod b) y^(j + a*floor(i/b))), the monomial ring
-map x -> t^a, y -> t^b, and two independent membership tests for its kernel
-(the principal ideal generated by x^b - y^a).
+A term x^i y^j is keyed by the plain int tuple (i, j), i and j nonnegative;
+tuple comparison is exactly lex order (i first). Implements division by
+x^b - y^a through its binomial normal form (the remainder of x^i y^j is
+x^(i mod b) y^(j + a*floor(i/b))), the monomial ring map x -> t^a, y -> t^b,
+and two independent membership tests for its kernel (the principal ideal
+generated by x^b - y^a).
 """
 
 from __future__ import annotations
@@ -11,64 +13,63 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, NamedTuple
 
 from .semigroup_core import check_size
 
 
-class Monomial2(NamedTuple):
-    """Monomial x^i y^j; tuple comparison is exactly lex order (i first)."""
-
-    i: int
-    j: int
-
-    def __str__(self) -> str:
-        parts = []
-        if self.i:
-            parts.append("x" if self.i == 1 else f"x^{self.i}")
-        if self.j:
-            parts.append("y" if self.j == 1 else f"y^{self.j}")
-        return "*".join(parts) if parts else "1"
-
-
-# Monomial2 from an (i, j) pair, without the Python-level NamedTuple __new__.
-_monomial = partial(tuple.__new__, Monomial2)
+def _monomial_text(i: int, j: int) -> str:
+    """x^i y^j as printed, e.g. `x^2*y`, `x` or `y^3`; (i, j) is not (0, 0)."""
+    parts = []
+    if i:
+        parts.append("x" if i == 1 else f"x^{i}")
+    if j:
+        parts.append("y" if j == 1 else f"y^{j}")
+    return "*".join(parts)
 
 
 class BivariatePolynomial:
-    """Finite map from monomials to nonzero Fraction coefficients.
+    """Finite map from (i, j) keys to nonzero Fraction coefficients.
 
     Built from ints and Fractions only: a float, Decimal or any other
-    coefficient raises TypeError.
+    coefficient raises TypeError, as does an exponent that is not an int (a
+    bool included). A negative exponent or a key that is not a pair raises
+    ValueError.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial2, Fraction] | None = None):
+    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         cleaned = {}
         if terms:
             for m, c in terms.items():
+                if not isinstance(m, tuple) or len(m) != 2:
+                    raise ValueError(f"a term key must be a pair (i, j), got {m!r}")
+                i, j = m
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError(f"exponents must be ints, got {type(i).__name__} and {type(j).__name__}")
+                if i < 0 or j < 0:
+                    raise ValueError(f"exponents must be nonnegative, got {m}")
                 if type(c) is not Fraction:
                     if type(c) is not int:
                         raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
                     c = Fraction(c)
                 if c:
-                    cleaned[m if type(m) is Monomial2 else Monomial2(*m)] = c
+                    cleaned[i, j] = c
         self.terms = cleaned
 
     @classmethod
-    def _of(cls, terms: dict[Monomial2, Fraction]) -> "BivariatePolynomial":
-        """Wrap a dict that already maps Monomial2 keys to nonzero Fractions, unchecked."""
+    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "BivariatePolynomial":
+        """Wrap a dict that already maps (i, j) int keys to nonzero Fractions, unchecked."""
         p = object.__new__(cls)
         p.terms = terms
         return p
 
     @classmethod
     def from_terms(cls, triples: Iterable[tuple[int, int, object]]) -> "BivariatePolynomial":
-        terms: dict[Monomial2, Fraction] = {}
+        terms: dict[tuple[int, int], Fraction] = {}
         for i, j, c in triples:
-            m = Monomial2(i, j)
+            m = (i, j)
             terms[m] = terms[m] + c if m in terms else c
         return cls(terms)
 
@@ -92,20 +93,17 @@ class BivariatePolynomial:
         return BivariatePolynomial(terms)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        return BivariatePolynomial(terms)
+        return self + BivariatePolynomial._of({m: -c for m, c in other.terms.items()})
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        terms: dict[Monomial2, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = Monomial2(m1.i + m2.i, m1.j + m2.j)
+        terms: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                m = (i1 + i2, j1 + j2)
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
         return BivariatePolynomial(terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial2, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms in lex-descending order (deterministic printing)."""
         return sorted(self.terms.items(), reverse=True)
 
@@ -119,9 +117,9 @@ class BivariatePolynomial:
             if m == (0, 0):
                 body = str(mag)
             elif mag == 1:
-                body = str(m)
+                body = _monomial_text(*m)
             else:
-                body = f"{mag}*{m}"
+                body = f"{mag}*{_monomial_text(*m)}"
             out += f" {sign} {body}" if out else (f"-{body}" if sign == "-" else body)
         return out
 
@@ -161,7 +159,7 @@ def check_division_steps(g: BivariatePolynomial, b: int) -> None:
     A term x^i y^j adds floor(i / b) terms to the quotient sum, so the sum
     over the terms of g counts the steps and bounds the quotient's size.
     """
-    check_size("division", sum(m.i // b for m in g.terms), "steps")
+    check_size("division", sum(i // b for i, _ in g.terms), "steps")
 
 
 def _remainder_numerators(g: BivariatePolynomial, numerators: list[int], a: int, b: int) -> dict:
@@ -180,7 +178,7 @@ def _remainder_numerators(g: BivariatePolynomial, numerators: list[int], a: int,
 
 def _fractions(terms: dict, L: int) -> BivariatePolynomial:
     """The polynomial of the nonzero terms c / L, c an integer numerator by (i, j)."""
-    return BivariatePolynomial._of({_monomial(m): Fraction(c, L) for m, c in terms.items() if c})
+    return BivariatePolynomial._of({m: Fraction(c, L) for m, c in terms.items() if c})
 
 
 def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
@@ -274,7 +272,7 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial expression", 1)
-    terms: dict[Monomial2, Fraction] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
     pos, end = 0, len(s)
     while pos < end:
         # Every part of _TERM_RE is optional, so it always matches; s is
@@ -304,7 +302,7 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
             c = Fraction(n, int(den))
         else:
             raise ParseError(f"zero denominator in {coeff!r}", start + 1)
-        key = _monomial((int(xi) if xi else (1 if x else 0), int(yj) if yj else (1 if y else 0)))
+        key = (int(xi) if xi else (1 if x else 0), int(yj) if yj else (1 if y else 0))
         if key not in terms:
             if n:
                 terms[key] = c
@@ -321,6 +319,6 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
 def bivariate_to_json(g: BivariatePolynomial) -> list[list]:
     """JSON form: [i, j, coefficient] triples in lex-descending order."""
     out = []
-    for m, c in g.sorted_terms():
-        out.append([m.i, m.j, c.numerator if c.denominator == 1 else str(c)])
+    for (i, j), c in g.sorted_terms():
+        out.append([i, j, c.numerator if c.denominator == 1 else str(c)])
     return out

@@ -109,7 +109,7 @@ def partition_count(a: int, b: int, n: int) -> int:
     return sum(1 for i in range(n // a + 1) if (n - a * i) % b == 0)
 
 
-def _check_order(order: int) -> None:
+def check_order(order: int) -> None:
     """An order must be nonnegative, and its order + 1 coefficients within SEMIGROUP_MAX_BOUND."""
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -123,7 +123,7 @@ def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
     zeros, ab the degree of the kernel generator x^b - y^a. dim(R_n) comes from the
     semigroup table, so the exact sequence 0 -> E(-ab) -> E -> R -> 0 is a real check.
     """
-    _check_order(nmax)
+    check_order(nmax)
     table = build_table(validate_pair(a, b))
     full = tuple(_denumerants(a, b, nmax))
     zeros = min(a * b, nmax + 1)
@@ -156,7 +156,7 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
     univariate and degree-graded series. The three pair kinds are the
     matching fields of graded_dims.
     """
-    _check_order(order)
+    check_order(order)
     if which == "univariate":
         return TruncatedSeries.geometric(1, order)
     if which == "full_ring_degree":

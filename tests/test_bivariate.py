@@ -11,7 +11,6 @@ from semialg import bivariate_algebra as biv
 from semialg.semigroup_core import BoundTooLargeError
 
 B = biv.BivariatePolynomial
-M = biv.Monomial2
 
 
 def bp(*triples):
@@ -54,10 +53,6 @@ coprime_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
 )
 
 
-def as_dict(p):
-    return {(m.i, m.j): c for m, c in p.terms.items()}
-
-
 class TestExactCoefficients:
     """Coefficients are ints or Fractions only; anything else is a TypeError, never a rounded value."""
 
@@ -82,11 +77,45 @@ class TestExactCoefficients:
         assert all(type(c) is Fraction for c in B({(0, 0): 7, (1, 1): Fraction(2, 4)}).terms.values())
 
 
+class TestExponents:
+    """A term key is a pair of nonnegative ints, stored as a plain (i, j) tuple."""
+
+    @pytest.mark.parametrize("key", [(1.5, 2), (2, 2.0), (True, 0), (0, False), ("1", 0), (Fraction(1), 0)])
+    def test_non_int_exponent_rejected(self, key):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            B({key: 1})
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            B.from_terms([(*key, 1)])
+
+    @pytest.mark.parametrize("key", [(-3, 2), (0, -1), (-1, -1)])
+    def test_negative_exponent_rejected(self, key):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            B({key: 1})
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            B({(4, 0): 1, key: 1})
+
+    @pytest.mark.parametrize("key", [(1,), (1, 2, 3), (), 5, "xy", frozenset({1, 2})])
+    def test_key_not_a_pair_rejected(self, key):
+        with pytest.raises(ValueError, match="must be a pair"):
+            B({key: 1})
+
+    def test_zero_coefficient_key_still_checked(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            B({(-1, 0): 0})
+
+    def test_keys_are_plain_tuples(self):
+        g = biv.parse_bivariate("3*x^4*y - 1/2*x^2 + y^3 + 7")
+        q, r = biv.divide(g, 2, 3)
+        for p in (g, q, r, B({(1, 2): 1}), bp((4, 1, 1)), g * q, g - r):
+            for m in p.terms:
+                assert type(m) is tuple and [type(e) for e in m] == [int, int]
+
+
 class TestMonomialOrder:
     def test_lex_compares_x_first(self):
-        assert M(0, 100) < M(1, 0)
-        assert M(2, 1) > M(1, 5)
-        assert M(2, 1) < M(2, 3)
+        assert (0, 100) < (1, 0)
+        assert (2, 1) > (1, 5)
+        assert (2, 1) < (2, 3)
 
     @given(
         st.tuples(st.integers(0, 20), st.integers(0, 20)),
@@ -94,9 +123,15 @@ class TestMonomialOrder:
         st.tuples(st.integers(0, 20), st.integers(0, 20)),
     )
     def test_multiplication_compatible(self, m1, m2, m):
-        m1, m2, m = M(*m1), M(*m2), M(*m)
+        (i1, j1), (i2, j2), (i, j) = m1, m2, m
         if m1 < m2:
-            assert M(m1.i + m.i, m1.j + m.j) < M(m2.i + m.i, m2.j + m.j)
+            assert (i1 + i, j1 + j) < (i2 + i, j2 + j)
+
+    def test_sorted_terms_of_parsed_expression_lex_descending(self):
+        g = biv.parse_bivariate("y^5 + 2*x*y^3 - x^3 + 7 + x*y - 4*x^3*y^2 + 1/3*y")
+        keys = [m for m, _ in g.sorted_terms()]
+        assert keys == [(3, 2), (3, 0), (1, 3), (1, 1), (0, 5), (0, 1), (0, 0)]
+        assert all(m1 > m2 for m1, m2 in zip(keys, keys[1:]))
 
 
 class TestDivide:
@@ -148,7 +183,7 @@ class TestDivide:
             f = B.binomial_xb_minus_ya(a, b)
             q, r = biv.divide(g, a, b)
             assert q * f + r == g
-            assert all(m.i < b for m in r.terms)
+            assert all(i < b for i, _ in r.terms)
 
 
 class TestDivisionStepCap:
@@ -197,7 +232,7 @@ class TestIntegerNumerators:
             q, r = biv.divide(PRIME_DENOMINATORS, a, b)
             assert all_fractions(q, r)
             assert q * f + r == PRIME_DENOMINATORS
-            assert as_dict(r) == binomial_normal_form(as_dict(PRIME_DENOMINATORS), a, b)
+            assert r.terms == binomial_normal_form(PRIME_DENOMINATORS.terms, a, b)
             image = biv.phi_evaluate(PRIME_DENOMINATORS, a, b)
             assert image and all(type(c) is Fraction for c in image.values())
             assert image == biv.phi_evaluate(r, a, b)
@@ -222,9 +257,9 @@ class TestDivideAgainstBinomialNormalForm:
     def check(g, a, b):
         f = B.binomial_xb_minus_ya(a, b)
         q, r = biv.divide(g, a, b)
-        assert as_dict(r) == binomial_normal_form(as_dict(g), a, b)
+        assert r.terms == binomial_normal_form(g.terms, a, b)
         assert q * f + r == g
-        assert all(m.i < b for m in r.terms)
+        assert all(i < b for i, _ in r.terms)
 
     @given(sparse_polys(), coprime_pairs)
     def test_random_inputs(self, g, pair):
@@ -259,7 +294,7 @@ class TestDivideAgainstSympy:
 
         def to_sympy(p):
             return sympy.Add(
-                *(sympy.Rational(c.numerator, c.denominator) * x**m.i * y**m.j for m, c in p.terms.items())
+                *(sympy.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in p.terms.items())
             )
 
         def from_sympy(expr):
@@ -267,8 +302,8 @@ class TestDivideAgainstSympy:
 
         quotients, remainder = sympy.reduced(to_sympy(g), [to_sympy(f)], x, y, order="lex")
         q, r = biv.divide(g, a, b)
-        assert as_dict(q) == from_sympy(quotients[0] if quotients else 0)
-        assert as_dict(r) == from_sympy(remainder)
+        assert q.terms == from_sympy(quotients[0] if quotients else 0)
+        assert r.terms == from_sympy(remainder)
 
     @settings(max_examples=40, deadline=None)
     @given(g=sparse_polys(), pair=coprime_pairs)

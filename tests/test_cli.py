@@ -421,6 +421,19 @@ class TestRankNullityCommand:
         # a bad pair still reads as one before any cap is checked
         assert run(capsys, "verify", "3", "3") == (2, "", "error: pair must be distinct, got a = b = 3\n")
 
+    def test_over_cap_sweep_refused_before_any_pair_is_verified(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp, "verify_functional_equation", lambda a, b: calls.append((a, b)) or True)
+        # sweep order (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6): 3ab + 1 first exceeds 46 at (4, 5)
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
+        code, out, err = run(capsys, "verify", "--sweep", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: series of 61 coefficients exceeds SEMIGROUP_MAX_BOUND=46\n"
+        assert calls == []
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "91")
+        assert run(capsys, "verify", "--sweep", "6") == (0, "6 pairs, 6 PASS\n", "")
+        assert calls == [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6)]
+
     def test_order_at_cap_answers(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
         assert run(capsys, "verify", "3", "5")[0] == 0
