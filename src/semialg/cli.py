@@ -146,14 +146,19 @@ def _cmd_gap_poly(args) -> int:
 
 
 def _pair_checks(a: int, b: int) -> dict[str, bool]:
-    sc.validate_pair(a, b)
+    A = sc.validate_pair(a, b)
     ab = a * b
-    # the largest order first, so a pair over SEMIGROUP_MAX_BOUND is refused before the dense checks;
+    # the largest order first, so a pair over SEMIGROUP_MAX_BOUND is refused before any other work;
     # the series identity up to q^(ab + 10) is the same comparison, read off the same tables
     bad = gh.rank_nullity_failure(a, b, 3 * ab)
+    # the functional equation cleared of denominators is (1 - q^a)(1 - q^b) H_R = K = 1 - q^ab;
+    # its reciprocal form is q^ab K(1/q) = q^ab - 1, and reciprocal(f_A) == g_A is symmetry
+    table = sc.build_table(A)
+    k_poly = gp.k_polynomial(table)
     return {
-        "functional_equation": gp.verify_functional_equation(a, b),
-        "reciprocal_duality": gp.reciprocal_duality(a, b),
+        "functional_equation": k_poly == {0: 1, ab: -1},
+        "reciprocal_duality": 2 * table.genus == table.frobenius + 1
+        and {ab - e: c for e, c in k_poly.items()} == {ab: 1, 0: -1},
         "series_identity": bad is None or bad > ab + 10,
         "rank_nullity": bad is None,
     }

@@ -1,8 +1,10 @@
-"""Gap generating polynomials and the two-generator functional equation.
+"""Gap generating polynomials, the K-polynomial, and the two-generator functional equation.
 
 The central objects are f_A(q), whose monomials enumerate the gaps of S(A),
-its reciprocal, and the complementary membership polynomial g_A(q). All
-coefficient arithmetic is exact.
+its reciprocal, the complementary membership polynomial g_A(q), and the
+sparse K-polynomial read off the Apery set. All coefficient arithmetic is
+exact. The dense checks verify_functional_equation and reciprocal_duality
+are kept as library API and as the oracle the K-polynomial is tested against.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from itertools import compress, starmap, zip_longest
 from operator import add, sub
 
-from .semigroup_core import COMPLEMENT, GeneratorSet, build_table, validate_pair
+from .semigroup_core import COMPLEMENT, GeneratorSet, SemigroupTable, build_table, validate_pair
 
 
 class IntPolynomial:
@@ -142,3 +144,23 @@ def reciprocal_duality(a: int, b: int) -> bool:
         return False
     return _cleared_identity(a, b, IntPolynomial.monomial(a * b - a - b + 1) - Q_MINUS_1 * f_hat)
 
+
+def k_polynomial(table: SemigroupTable) -> dict[int, int]:
+    """K(q) = N(q) * prod_{i>=2} (1 - q^{a_i}) as {exponent: nonzero coefficient}.
+
+    N(q) = sum of q^w over the Apery set, so H_R(q) = N(q) / (1 - q^{a1}) and
+    K is the numerator of H_R over prod (1 - q^{a_i}): F = max(K) - sum(A).
+    For a pair it is 1 - q^ab, the exact sequence 0 -> E(-ab) -> E -> R -> 0.
+    One dict pass per generator after the first; at most 2^(k-1) * a1 terms.
+    """
+    terms = dict.fromkeys(table.apery, 1)  # distinct residues mod a1, so distinct exponents
+    for a in table.generators.elements[1:]:
+        product = dict(terms)  # terms * (1 - q^a)
+        for e, c in terms.items():
+            d = product.get(e + a, 0) - c
+            if d:
+                product[e + a] = d
+            else:
+                del product[e + a]
+        terms = product
+    return terms

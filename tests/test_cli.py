@@ -209,9 +209,9 @@ class TestVerifyCommand:
             assert module.build_table is original
             monkeypatch.setattr(module, "build_table", counted("build_table", original))
         assert run(capsys, "verify", "29", "31")[0] == 0
-        # S(A) for f_A in the functional equation, for f_A and g_A in the
-        # reciprocal duality, and for dim R_n in the one rank-nullity pass
-        assert calls == {"graded_dims": 1, "build_table": 4}
+        # S(A) for dim R_n in the one rank-nullity pass, and for the K-polynomial
+        # both the functional equation and the reciprocal duality are read off
+        assert calls == {"graded_dims": 1, "build_table": 2}
 
     def test_sweep_20_pair_count(self, capsys):
         import math
@@ -414,6 +414,7 @@ class TestRankNullityCommand:
             raise AssertionError("a dense check ran before the refusal")
 
         monkeypatch.setattr(gp, "verify_functional_equation", dense_check)
+        monkeypatch.setattr(gp, "k_polynomial", dense_check)
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "12")
         code, out, err = run(capsys, "verify", "3", "5")
         assert (code, out) == (2, "")
@@ -423,7 +424,13 @@ class TestRankNullityCommand:
 
     def test_over_cap_sweep_refused_before_any_pair_is_verified(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(gp, "verify_functional_equation", lambda a, b: calls.append((a, b)) or True)
+        true_k = gp.k_polynomial
+
+        def counted_k(table):
+            calls.append(table.generators.elements)
+            return true_k(table)
+
+        monkeypatch.setattr(gp, "k_polynomial", counted_k)
         # sweep order (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6): 3ab + 1 first exceeds 46 at (4, 5)
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
         code, out, err = run(capsys, "verify", "--sweep", "6")

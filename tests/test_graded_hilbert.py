@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -258,3 +259,59 @@ class TestExactSequenceFaults:
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == 2 * a * b
         assert gh.rank_nullity_failure(a, b, a * b + 10) is None
         assert self.verify_checks(a, b) == (True, False)
+
+
+class TestAperySetFaults:
+    """A fault in the semigroup table fails the checks verify reads off the K-polynomial.
+
+    functional_equation is K == 1 - q^ab; reciprocal_duality is the symmetry
+    2g = F + 1 of the table's fields and the reflected K, q^ab K(1/q) == q^ab - 1.
+    """
+
+    @staticmethod
+    def patch_table(monkeypatch, fault):
+        true_build = sc.build_table
+
+        def faulty(A):
+            return fault(true_build(A))
+
+        for module in (sc, gp, gh):
+            monkeypatch.setattr(module, "build_table", faulty)
+
+    @staticmethod
+    def raised_apery(table):
+        """The Apery set with the entry of residue 1 raised by a1: its old value becomes a gap."""
+        a1 = table.generators.elements[0]
+        return tuple(w + a1 if r == 1 else w for r, w in enumerate(table.apery))
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_fake_gap_fails_both_k_checks(self, monkeypatch, a, b):
+        def fake_gap(table):
+            apery = self.raised_apery(table)
+            a1 = len(apery)
+            genus = sum(w // a1 for w in apery)
+            return dataclasses.replace(table, apery=apery, frobenius=max(apery) - a1, genus=genus)
+
+        self.patch_table(monkeypatch, fake_gap)
+        table = sc.build_table(sc.validate_pair(a, b))
+        assert table.genus == (a - 1) * (b - 1) // 2 + 1
+        checks = cli._pair_checks(a, b)
+        assert not checks["functional_equation"]
+        assert not checks["reciprocal_duality"]
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_apery_fault_behind_true_fields_fails_the_reflected_k(self, monkeypatch, a, b):
+        # genus and frobenius keep their true values, so the symmetry test passes
+        self.patch_table(monkeypatch, lambda table: dataclasses.replace(table, apery=self.raised_apery(table)))
+        table = sc.build_table(sc.validate_pair(a, b))
+        assert 2 * table.genus == table.frobenius + 1
+        assert {a * b - e: c for e, c in gp.k_polynomial(table).items()} != {a * b: 1, 0: -1}
+        assert not cli._pair_checks(a, b)["reciprocal_duality"]
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_genus_fault_fails_the_symmetry_test_only(self, monkeypatch, a, b):
+        # the Apery set is true, so K is 1 - q^ab and only 2g = F + 1 can reject the table
+        self.patch_table(monkeypatch, lambda table: dataclasses.replace(table, genus=table.genus + 1))
+        checks = cli._pair_checks(a, b)
+        assert checks["functional_equation"]
+        assert not checks["reciprocal_duality"]
