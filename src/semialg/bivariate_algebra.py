@@ -1,4 +1,4 @@
-"""Sparse bivariate polynomials over exact rationals with lex monomial order.
+"""Sparse bivariate polynomials with lex monomial order, as int numerators over one denominator.
 
 A term x^i y^j is keyed by the plain int tuple (i, j), i and j nonnegative;
 tuple comparison is exactly lex order (i first). Implements division by
@@ -28,8 +28,18 @@ def _monomial_text(i: int, j: int) -> str:
     return "*".join(parts)
 
 
+def _canonical(den: int, nums: dict[tuple[int, int], int]) -> tuple[int, dict[tuple[int, int], int]]:
+    """den and nums, den > 0, with the zero numerators dropped and their common gcd divided out."""
+    nums = {m: c for m, c in nums.items() if c}
+    g = math.gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {m: c // g for m, c in nums.items()})
+
+
 class BivariatePolynomial:
-    """Finite map from (i, j) keys to nonzero Fraction coefficients.
+    """Nonzero int numerators `nums` by (i, j) over one positive int denominator `den`.
+
+    Canonical, gcd(den, *nums.values()) == 1, so polynomials are equal exactly
+    when both fields are; `terms` shows the coefficients as Fractions.
 
     Built from ints and Fractions only: a float, Decimal or any other
     coefficient raises TypeError, as does an exponent that is not an int (a
@@ -37,10 +47,10 @@ class BivariatePolynomial:
     ValueError.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        cleaned = {}
+        ratios = {}
         if terms:
             for m, c in terms.items():
                 if not isinstance(m, tuple) or len(m) != 2:
@@ -50,20 +60,24 @@ class BivariatePolynomial:
                     raise TypeError(f"exponents must be ints, got {type(i).__name__} and {type(j).__name__}")
                 if i < 0 or j < 0:
                     raise ValueError(f"exponents must be nonnegative, got {m}")
-                if type(c) is not Fraction:
-                    if type(c) is not int:
-                        raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
-                    c = Fraction(c)
-                if c:
-                    cleaned[i, j] = c
-        self.terms = cleaned
+                if type(c) is not Fraction and type(c) is not int:
+                    raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
+                ratios[i, j] = c.as_integer_ratio()
+        L = math.lcm(*[d for _, d in ratios.values()])
+        self.den, self.nums = _canonical(L, {m: L // d * n for m, (n, d) in ratios.items()})
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "BivariatePolynomial":
-        """Wrap a dict that already maps (i, j) int keys to nonzero Fractions, unchecked."""
+    def _of(cls, den: int, nums: dict[tuple[int, int], int]) -> "BivariatePolynomial":
+        """The polynomial of nums[m] / den, den > 0 and each key an (i, j) int pair, unchecked."""
         p = object.__new__(cls)
-        p.terms = terms
+        p.den, p.nums = _canonical(den, nums)
         return p
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """A new dict of the nonzero Fraction coefficients by (i, j)."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.nums.items()}
 
     @classmethod
     def from_terms(cls, triples: Iterable[tuple[int, int, object]]) -> "BivariatePolynomial":
@@ -79,29 +93,31 @@ class BivariatePolynomial:
         return cls.from_terms([(b, 0, 1), (0, a, -1)])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return BivariatePolynomial(terms)
+        L = math.lcm(self.den, other.den)
+        s, t = L // self.den, L // other.den
+        nums = {m: s * c for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            nums[m] = nums.get(m, 0) + t * c
+        return BivariatePolynomial._of(L, nums)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + BivariatePolynomial._of({m: -c for m, c in other.terms.items()})
+        return self + BivariatePolynomial._of(other.den, {m: -c for m, c in other.nums.items()})
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        nums: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.nums.items():
+            for (i2, j2), c2 in other.nums.items():
                 m = (i1 + i2, j1 + j2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return BivariatePolynomial(terms)
+                nums[m] = nums.get(m, 0) + c1 * c2
+        return BivariatePolynomial._of(self.den * other.den, nums)
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms in lex-descending order (deterministic printing)."""
@@ -132,13 +148,6 @@ class DivisionResult(NamedTuple):
     remainder: BivariatePolynomial
 
 
-def _numerators(g: BivariatePolynomial) -> tuple[int, list[int]]:
-    """L, the lcm of the denominators of g, and the integer L*c per term c of g."""
-    ratios = [c.as_integer_ratio() for c in g.terms.values()]
-    L = math.lcm(*[d for _, d in ratios])
-    return L, [L // d * n for n, d in ratios]
-
-
 def check_weights(a: int, b: int) -> None:
     """Weights of the ring map x -> t^a, y -> t^b: positive, distinct and coprime.
 
@@ -159,26 +168,21 @@ def check_division_steps(g: BivariatePolynomial, b: int) -> None:
     A term x^i y^j adds floor(i / b) terms to the quotient sum, so the sum
     over the terms of g counts the steps and bounds the quotient's size.
     """
-    check_size("division", sum(i // b for i, _ in g.terms), "steps")
+    check_size("division", sum(i // b for i, _ in g.nums), "steps")
 
 
-def _remainder_numerators(g: BivariatePolynomial, numerators: list[int], a: int, b: int) -> dict:
-    """L times the remainder of g modulo x^b - y^a, by (i, j); zero sums are kept.
+def _remainder_numerators(g: BivariatePolynomial, a: int, b: int) -> dict[tuple[int, int], int]:
+    """g.den times the remainder of g modulo x^b - y^a, by (i, j); zero sums are kept.
 
     x^b = y^a modulo the divisor, so x^i y^j reduces to x^(i - bs) y^(j + as),
     s = floor(i / b).
     """
     r: dict[tuple[int, int], int] = {}
-    for (i, j), c in zip(g.terms, numerators):
+    for (i, j), c in g.nums.items():
         s = i // b
         key = (i - b * s, j + a * s)
         r[key] = r[key] + c if key in r else c
     return r
-
-
-def _fractions(terms: dict, L: int) -> BivariatePolynomial:
-    """The polynomial of the nonzero terms c / L, c an integer numerator by (i, j)."""
-    return BivariatePolynomial._of({m: Fraction(c, L) for m, c in terms.items() if c})
 
 
 def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
@@ -189,38 +193,36 @@ def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
     x^(i - b(t + 1)) y^(j + at) over t < s. Such a quotient and remainder
     are unique, so they are those of lex division by x^b - y^a.
 
-    The sums run over the integer numerators of L*g, L the lcm of the
-    denominators of g, and each nonzero quotient or remainder term becomes
-    one Fraction at the end. The quotient steps, the sum of floor(i / b),
-    are checked against SEMIGROUP_MAX_BOUND before any work.
+    The sums run over the int numerators of g, and the quotient and the
+    remainder keep its denominator, g.den, until they are put in canonical
+    form. The quotient steps, the sum of floor(i / b), are checked against
+    SEMIGROUP_MAX_BOUND before any work.
     """
     check_weights(a, b)
     check_division_steps(g, b)
-    L, numerators = _numerators(g)
     q: dict[tuple[int, int], int] = {}
-    for (i, j), c in zip(g.terms, numerators):
+    for (i, j), c in g.nums.items():
         if i >= b:
             # the keys (i - b(t + 1), j + at) for t < s = i // b
             for key in zip(range(i - b, -1, -b), range(j, j + a * (i // b), a)):
                 q[key] = q[key] + c if key in q else c
-    r = _remainder_numerators(g, numerators, a, b)
-    return DivisionResult(_fractions(q, L), _fractions(r, L))
+    r = _remainder_numerators(g, a, b)
+    return DivisionResult(BivariatePolynomial._of(g.den, q), BivariatePolynomial._of(g.den, r))
 
 
 def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     """Image of g under x -> t^a, y -> t^b: the nonzero coefficients of g(t^a, t^b) by degree.
 
     Sparse, so its cost does not grow with the exponents. The sums run over
-    the integer numerators of L*g, L the lcm of the denominators of g, and
-    only a nonzero sum becomes a Fraction: a kernel member builds none.
+    the int numerators of g, and only a nonzero sum becomes a Fraction, its
+    numerator over g.den: a kernel member builds none.
     """
     check_weights(a, b)
-    L, numerators = _numerators(g)
     sums: dict[int, int] = {}
-    for (i, j), c in zip(g.terms, numerators):
+    for (i, j), c in g.nums.items():
         k = a * i + b * j
         sums[k] = sums[k] + c if k in sums else c
-    return {k: Fraction(c, L) for k, c in sums.items() if c}
+    return {k: Fraction(c, g.den) for k, c in sums.items() if c}
 
 
 def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") -> bool:
@@ -234,8 +236,7 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
         return not phi_evaluate(g, a, b)
     if method == "divide":
         check_division_steps(g, b)
-        _, numerators = _numerators(g)
-        return not any(_remainder_numerators(g, numerators, a, b).values())
+        return not any(_remainder_numerators(g, a, b).values())
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
 
 
@@ -266,13 +267,15 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
     Only the first term may carry a leading '-'; a sign that follows another
     sign (`x - -y`) is an error at the second sign. One match of _TERM_RE
     reads a term with its sign and the blanks after it, so the loop runs once
-    per term. An integer coefficient becomes Fraction(n), and only p/q a
-    Fraction(p, q); equal monomials are summed into the term dict as they come.
+    per term. Equal monomials are summed as they come, as int numerators
+    grouped by the denominator written; one pass at the end brings the groups
+    over L, the lcm of those denominators. No term builds a Fraction, and no
+    term is rescaled twice, however many denominators the text has.
     """
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial expression", 1)
-    terms: dict[tuple[int, int], Fraction] = {}
+    groups: dict[int, dict[tuple[int, int], int]] = {}  # numerators by denominator
     pos, end = 0, len(s)
     while pos < end:
         # Every part of _TERM_RE is optional, so it always matches; s is
@@ -296,29 +299,25 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
         n = int(num) if num else 1
         if sign == "-":
             n = -n
-        if den is None:
-            c = Fraction(n)
-        elif int(den):
-            c = Fraction(n, int(den))
-        else:
+        d = int(den) if den else 1
+        if not d:
             raise ParseError(f"zero denominator in {coeff!r}", start + 1)
+        nums = groups.setdefault(d, {})
         key = (int(xi) if xi else (1 if x else 0), int(yj) if yj else (1 if y else 0))
-        if key not in terms:
-            if n:
-                terms[key] = c
-        else:
-            c += terms[key]
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
+        nums[key] = nums[key] + n if key in nums else n
         pos = m.end()
-    return BivariatePolynomial._of(terms)
+    L = math.lcm(*groups)
+    total: dict[tuple[int, int], int] = {}
+    for d, nums in groups.items():
+        for key, n in nums.items():
+            total[key] = total.get(key, 0) + L // d * n
+    return BivariatePolynomial._of(L, total)
 
 
 def bivariate_to_json(g: BivariatePolynomial) -> list[list]:
-    """JSON form: [i, j, coefficient] triples in lex-descending order."""
+    """JSON form: [i, j, coefficient] triples in lex-descending order; coefficient an int or "p/q"."""
     out = []
-    for (i, j), c in g.sorted_terms():
-        out.append([i, j, c.numerator if c.denominator == 1 else str(c)])
+    for (i, j), c in sorted(g.nums.items(), reverse=True):
+        k = math.gcd(c, g.den)
+        out.append([i, j, c // k if k == g.den else f"{c // k}/{g.den // k}"])
     return out

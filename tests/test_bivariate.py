@@ -250,6 +250,121 @@ class TestIntegerNumerators:
             assert q == PRIME_DENOMINATORS and r.is_zero() and all_fractions(q)
 
 
+def assert_canonical(p):
+    assert p.den >= 1
+    assert all(p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+# coefficients as a caller may pass them: ints, zeros and unreduced Fractions
+raw_coefficients = st.one_of(
+    st.integers(-20, 20), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+)
+raw_terms = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), raw_coefficients, max_size=30
+)
+
+
+class TestCommonDenominator:
+    """Every route to a BivariatePolynomial gives the canonical den/nums form."""
+
+    @given(raw_terms)
+    def test_constructor_and_from_terms(self, terms):
+        p = B(terms)
+        assert_canonical(p)
+        assert p.terms == {m: Fraction(c) for m, c in terms.items() if c}
+        q = B.from_terms((i, j, c) for (i, j), c in terms.items())
+        assert_canonical(q)
+        assert q == p
+
+    @given(sparse_polys(), sparse_polys(max_terms=8), coprime_pairs)
+    def test_parse_divide_add_mul(self, p, h, pair):
+        for r in (biv.parse_bivariate(str(p)), *biv.divide(p, *pair), p + h, p - h, p * h, p - p):
+            assert_canonical(r)
+
+    @pytest.mark.parametrize(
+        "text, den, nums",
+        [
+            ("1/2*x + 1/3*y - 1/6*x*y", 6, {(1, 0): 3, (0, 1): 2, (1, 1): -1}),
+            ("1/2*x + 3*y", 2, {(1, 0): 1, (0, 1): 6}),
+            ("2/4*x", 2, {(1, 0): 1}),
+            ("1/4*x - 1/4*x + 1/3*y", 3, {(0, 1): 1}),
+            ("x - x", 1, {}),
+            ("3/6*x + 1/6*x", 3, {(1, 0): 2}),
+            ("1/3 - 1/3 + 2*y", 1, {(0, 1): 2}),
+        ],
+    )
+    def test_parser_cases(self, text, den, nums):
+        g = biv.parse_bivariate(text)
+        assert (g.den, g.nums) == (den, nums)
+        assert_canonical(g)
+
+    def test_zero_polynomial_has_denominator_one(self):
+        for z in (biv.parse_bivariate("x - x"), B(), B({(2, 1): 0}), bp((1, 0, Fraction(1, 3))) * B()):
+            assert (z.den, z.nums) == (1, {}) and z.is_zero() and z == B()
+
+    def test_many_prime_denominators(self):
+        primes = [p for p in range(2, 600) if all(p % k for k in range(2, math.isqrt(p) + 1))]
+        text = " + ".join(f"{k % 5 + 1}/{p}*x^{k % 7}*y^{k % 11}" for k, p in enumerate(primes))
+        g = biv.parse_bivariate(text)
+        expected = {}
+        for k, p in enumerate(primes):
+            m = (k % 7, k % 11)
+            expected[m] = expected.get(m, 0) + Fraction(k % 5 + 1, p)
+        assert_canonical(g)
+        assert g.terms == expected and g == B(expected)
+
+    def test_equal_polynomials_built_by_different_routes_are_equal(self):
+        half_x_third_y = [
+            biv.parse_bivariate("1/2*x + 1/3*y"),
+            biv.parse_bivariate("1/3*y + 2/4*x + 0/7*y^2"),
+            biv.parse_bivariate("1/6*x + 1/3*x + 1/3*y + x^2 - x^2"),
+            B({(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 6)}),
+            bp((1, 0, Fraction(1, 4)), (0, 1, Fraction(1, 3)), (1, 0, Fraction(1, 4))),
+            bp((1, 0, Fraction(1, 2))) + bp((0, 1, Fraction(1, 3))),
+            bp((1, 0, 1), (0, 1, Fraction(2, 3))) - bp((1, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3))),
+            bp((1, 0, 3), (0, 1, 2)) * bp((0, 0, Fraction(1, 6))),
+            biv.divide(bp((1, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3))) * B.binomial_xb_minus_ya(2, 3), 2, 3)[0],
+        ]
+        for g in half_x_third_y:
+            assert (g.den, g.nums) == (6, {(1, 0): 3, (0, 1): 2})
+            assert g == half_x_third_y[0]
+
+    def test_terms_is_a_read_only_view(self):
+        g = biv.parse_bivariate("1/2*x + 3*y")
+        view = g.terms
+        assert view == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+        view[(5, 5)] = Fraction(1)
+        assert g.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+        with pytest.raises(AttributeError):
+            g.terms = {}
+
+    def test_kernel_routes_build_no_fraction(self, monkeypatch):
+        a, b = 2, 3
+        rng = random.Random(25)
+        # x-degrees below b keep h*x^b and h*y^a apart, so the member has 200 terms
+        keys = [(i, j) for i in range(b) for j in range(34)][:100]
+        h = B({m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7))) for m in keys})
+        member = h * B.binomial_xb_minus_ya(a, b)
+        assert len(member.nums) == 200 and member.den > 1
+        text = str(member)
+
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(biv, "Fraction", no_fraction)
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            member.terms
+        g = biv.parse_bivariate(text)
+        assert g == member
+        biv.check_division_steps(g, b)
+        q, r = biv.divide(g, a, b)
+        assert q == h and r.is_zero()
+        assert len(biv.bivariate_to_json(q)) == 100 and biv.bivariate_to_json(r) == []
+        assert biv.in_kernel(g, a, b, "evaluate")
+        assert biv.in_kernel(g, a, b, "divide")
+
+
 class TestDivideAgainstBinomialNormalForm:
     """Division by x^b - y^a against the closed form in tests/oracles.py."""
 
