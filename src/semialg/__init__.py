@@ -4,7 +4,7 @@ Subpackages:
     semigroup_core    Apery sets, membership, Frobenius number, genus, witnesses
     gap_polynomials   f_A(q), reciprocals, the functional equation, the K-polynomial
     bivariate_algebra division by x^b - y^a and the monomial-map kernel
-    graded_hilbert    denumerants, graded dimensions, Hilbert series
+    graded_hilbert    denumerants, graded dimensions, Hilbert series, verify's pair checks
     cli               deterministic command-line front end
 """
 
@@ -40,8 +40,8 @@ from .graded_hilbert import (
     TruncatedSeries,
     graded_dims,
     hilbert_series,
+    pair_checks,
     partition_count,
-    rank_nullity_check,
     rank_nullity_failure,
 )
 

@@ -16,7 +16,6 @@ from collections.abc import Callable
 from itertools import compress
 
 from . import bivariate_algebra as biv
-from . import gap_polynomials as gp
 from . import graded_hilbert as gh
 from . import semigroup_core as sc
 
@@ -145,27 +144,10 @@ def _cmd_gap_poly(args) -> int:
     )
 
 
-def _pair_checks(a: int, b: int) -> dict[str, bool]:
-    A = sc.validate_pair(a, b)
-    ab = a * b
-    # the largest order first, so a pair over SEMIGROUP_MAX_BOUND is refused before any other work;
-    # the series identity up to q^(ab + 10) is the same comparison, read off the same tables
-    bad = gh.rank_nullity_failure(a, b, 3 * ab)
-    # the functional equation cleared of denominators is (1 - q^a)(1 - q^b) H_R = K = 1 - q^ab;
-    # its reciprocal form is q^ab K(1/q) = q^ab - 1, and reciprocal(f_A) == g_A is symmetry
-    table = sc.build_table(A)
-    k_poly = gp.k_polynomial(table)
-    return {
-        "functional_equation": k_poly == {0: 1, ab: -1},
-        "reciprocal_duality": 2 * table.genus == table.frobenius + 1
-        and {ab - e: c for e, c in k_poly.items()} == {ab: 1, 0: -1},
-        "series_identity": bad is None or bad > ab + 10,
-        "rank_nullity": bad is None,
-    }
-
-
 def _cmd_verify(args) -> int:
     if args.sweep is not None:
+        if args.a is not None:
+            raise ValueError("verify takes a pair a b or --sweep B, not both")
         pairs = [
             (a, b)
             for a in range(2, args.sweep + 1)
@@ -174,14 +156,14 @@ def _cmd_verify(args) -> int:
         ]
         for a, b in pairs:  # every pair's 3ab order check first: an over-cap sweep verifies no pair
             gh.check_order(3 * a * b)
-        passed = sum(1 for a, b in pairs if all(_pair_checks(a, b).values()))
+        passed = sum(1 for a, b in pairs if all(gh.pair_checks(a, b).values()))
         result = {"sweep": args.sweep, "pairs": len(pairs), "passed": passed}
         text = f"{len(pairs)} pairs, {passed} PASS"
         code = _emit(args, "verify", {"sweep": args.sweep}, result, lambda: [text])
         return code if passed == len(pairs) else 1
     if args.a is None or args.b is None:
         raise ValueError("verify needs a pair a b, or --sweep B")
-    checks = _pair_checks(args.a, args.b)
+    checks = gh.pair_checks(args.a, args.b)
     text = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
     code = _emit(args, "verify", {"a": args.a, "b": args.b}, checks, lambda: text)
     return code if all(checks.values()) else 1
@@ -223,7 +205,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_rank_nullity(args) -> int:
     order = args.order if args.order is not None else 3 * args.a * args.b
-    ok = gh.rank_nullity_check(args.a, args.b, order)
+    ok = gh.rank_nullity_failure(args.a, args.b, order) is None
     result = {"a": args.a, "b": args.b, "order": order, "holds": ok}
     text = f"rank_nullity up to n={order}: {'PASS' if ok else 'FAIL'}"
     code = _emit(args, "rank-nullity", {"a": args.a, "b": args.b, "order": order}, result, lambda: [text])
@@ -240,6 +222,8 @@ def _opt_int(value: str, name: str) -> int | None:
 
 
 def _cmd_hilbert(args) -> int:
+    if args.n is not None and args.order is not None:
+        raise ValueError("hilbert takes a truncation order N or --order N, not both")
     order = args.order if args.order is not None else args.n
     if order is None:
         raise ValueError("hilbert needs a truncation order (positional N or --order)")

@@ -1,4 +1,4 @@
-"""Graded dimensions, partition counts, and truncated Hilbert series.
+"""Graded dimensions, partition counts, truncated Hilbert series, and verify's pair checks.
 
 Everything is tabulated exactly up to a caller-chosen truncation order:
 the denumerant p_{a,b}(n), the graded component dimensions of the weighted
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
+from .gap_polynomials import k_polynomial
 from .semigroup_core import COMPLEMENT, build_table, check_size, validate_pair
 
 SERIES_KINDS = (
@@ -100,6 +101,12 @@ def _denumerants(a: int, b: int, nmax: int) -> list[int]:
     return p
 
 
+def _kernel_dims(ab: int, full: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """dim K_n = dim E_{n-ab}: full behind ab zeros, ab the degree of x^b - y^a."""
+    zeros = min(ab, len(full))
+    return (0,) * zeros + tuple(full[: len(full) - zeros])
+
+
 def partition_count(a: int, b: int, n: int) -> int:
     """Number of (i, j) in N_0^2 with a*i + b*j = n. No coprimality needed."""
     if a < 1 or b < 1:
@@ -119,16 +126,14 @@ def check_order(order: int) -> None:
 def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
     """Tabulate dim(E_n), dim(R_n), dim(K_n) for n = 0..nmax.
 
-    dim(E_n) is the denumerant table; dim(K_n) = dim(E_{n-ab}) is that table behind ab
-    zeros, ab the degree of the kernel generator x^b - y^a. dim(R_n) comes from the
+    dim(E_n) is the denumerant table and dim(K_n) its shift by ab; dim(R_n) comes from the
     semigroup table, so the exact sequence 0 -> E(-ab) -> E -> R -> 0 is a real check.
     """
     check_order(nmax)
     table = build_table(validate_pair(a, b))
     full = tuple(_denumerants(a, b, nmax))
-    zeros = min(a * b, nmax + 1)
     ring = tuple(table.gap_indicator(nmax).translate(COMPLEMENT))
-    return GradedDims(full, ring, (0,) * zeros + full[: nmax + 1 - zeros])
+    return GradedDims(full, ring, _kernel_dims(a * b, full))
 
 
 def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
@@ -144,17 +149,31 @@ def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
     return next(n for n, (s, e) in enumerate(zip(sums, dims.dim_full)) if s != e)
 
 
-def rank_nullity_check(a: int, b: int, nmax: int) -> bool:
-    """dim(E_n) == dim(R_n) + dim(K_n) for every n up to nmax."""
-    return rank_nullity_failure(a, b, nmax) is None
+def pair_checks(a: int, b: int) -> dict[str, bool]:
+    """The four checks of 0 -> E(-ab) -> E -> R -> 0 that `semialg verify a b` prints, by name."""
+    A = validate_pair(a, b)
+    ab = a * b
+    # the largest order first, so a pair over SEMIGROUP_MAX_BOUND is refused before any other work;
+    # the series identity up to q^(ab + 10) is the same comparison, read off the same tables
+    bad = rank_nullity_failure(a, b, 3 * ab)
+    # K == 1 - q^ab is the functional equation cleared of denominators, and so is its reciprocal
+    # form q^ab K(1/q) = q^ab - 1: reciprocal_duality adds only the symmetry 2g = F + 1
+    table = build_table(A)
+    functional_equation = k_polynomial(table) == {0: 1, ab: -1}
+    return {
+        "functional_equation": functional_equation,
+        "reciprocal_duality": functional_equation and 2 * table.genus == table.frobenius + 1,
+        "series_identity": bad is None or bad > ab + 10,
+        "rank_nullity": bad is None,
+    }
 
 
 def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> TruncatedSeries:
     """Truncated expansion of one of the five closed-form Hilbert series.
 
     `which` is one of SERIES_KINDS; the pair (a, b) is ignored for the
-    univariate and degree-graded series. The three pair kinds are the
-    matching fields of graded_dims.
+    univariate and degree-graded series. Only semigroup_ring, the dim_ring
+    of graded_dims, builds the semigroup table.
     """
     check_order(order)
     if which == "univariate":
@@ -166,9 +185,11 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
         raise ValueError(f"unknown series kind {which!r}")
     if a is None or b is None:
         raise ValueError(f"series kind {which!r} needs the pair (a, b)")
-    dims = graded_dims(a, b, order)
-    fields = {"full_ring_frobenius": dims.dim_full, "semigroup_ring": dims.dim_ring, "kernel": dims.dim_kernel}
-    return TruncatedSeries(order, fields[which])
+    if which == "semigroup_ring":
+        return TruncatedSeries(order, graded_dims(a, b, order).dim_ring)
+    validate_pair(a, b)
+    full = _denumerants(a, b, order)
+    return TruncatedSeries(order, full if which == "full_ring_frobenius" else _kernel_dims(a * b, full))
 
 
 def series_to_json(s: TruncatedSeries) -> dict:

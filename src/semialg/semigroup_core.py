@@ -42,18 +42,13 @@ def check_size(what: str, size: int, unit: str) -> None:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A validated finite set of positive integer generators, sorted ascending."""
+    """A validated set of positive integer generators with gcd 1, sorted ascending."""
 
     elements: tuple[int, ...]
-    gcd: int
 
     @property
     def k(self) -> int:
         return len(self.elements)
-
-    def require_coprime(self) -> None:
-        if self.gcd != 1:
-            raise NotNumericalSemigroupError(self.gcd)
 
 
 @dataclass(frozen=True)
@@ -109,18 +104,17 @@ COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def validate_generators(raw: list[int]) -> GeneratorSet:
-    """Sort, deduplicate and gcd-check a raw generator list.
-
-    Accepts any positive integers; the caller inspects .gcd (or calls
-    require_coprime) to decide whether S(A) is a numerical semigroup.
-    """
+    """Sort and deduplicate a raw generator list; NotNumericalSemigroupError if gcd(A) != 1."""
     if not raw:
         raise ValueError("generator set must be nonempty")
     for a in raw:
         if a <= 0:
             raise ValueError(f"generators must be positive, got {a}")
     elements = tuple(sorted(set(raw)))
-    return GeneratorSet(elements=elements, gcd=math.gcd(*elements))
+    gcd = math.gcd(*elements)
+    if gcd != 1:
+        raise NotNumericalSemigroupError(gcd)
+    return GeneratorSet(elements)
 
 
 def validate_pair(a: int, b: int) -> GeneratorSet:
@@ -143,7 +137,6 @@ def conductor_bound(A: GeneratorSet) -> int:
     Every n at or above this value has a nonnegative representation, so the
     Frobenius number is at most conductor_bound(A) - 1.
     """
-    A.require_coprime()
     return (A.elements[-1] - 1) * sum(A.elements[:-1])
 
 
@@ -156,7 +149,6 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
     starting from the cycle's minimum, which is final (Boecker & Liptak,
     2007). Time O(k * a1), memory O(a1).
     """
-    A.require_coprime()
     bound = conductor_bound(A)
     check_size("table", bound + max(A.elements) + 1, "cells")
 

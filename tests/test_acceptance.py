@@ -12,7 +12,6 @@ from semialg import bivariate_algebra as biv
 from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
-from semialg.cli import _pair_checks
 
 from oracles import naive_is_symmetric, naive_members
 
@@ -105,7 +104,7 @@ def test_criterion_4_kernel_characterization():
 def test_criterion_5_rank_nullity_and_series_identity():
     ok = True
     for a, b in coprime_pairs(2, 30):
-        checks = _pair_checks(a, b)
+        checks = gh.pair_checks(a, b)
         ok &= checks["rank_nullity"] and checks["series_identity"]
     report("5 (rank-nullity and Hilbert series identity, pairs up to 30)", ok)
 

@@ -4,7 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import gaps_of, naive_gaps
+import semialg
+from oracles import gaps_of, naive_gaps, naive_partition_count
 from semialg import cli
 from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
@@ -228,6 +229,23 @@ class TestVerifyCommand:
         assert code == 2
         assert "gcd" in err
 
+    @pytest.mark.parametrize("pair", [["3", "5"], ["3"]])
+    def test_pair_with_sweep_exit_2(self, capsys, pair):
+        assert run(capsys, "verify", *pair, "--sweep", "4") == (
+            2, "", "error: verify takes a pair a b or --sweep B, not both\n"
+        )
+
+    def test_checks_exported_from_semialg(self):
+        assert semialg.pair_checks is gh.pair_checks
+
+    def test_library_checks_are_the_verify_result(self, capsys):
+        for a in range(2, 13):
+            for b in range(a + 1, 13):
+                if math.gcd(a, b) == 1:
+                    code, out, _ = run(capsys, "verify", str(a), str(b), "--json")
+                    assert code == 0
+                    assert json.loads(out)["result"] == semialg.pair_checks(a, b)
+
 
 class TestDivideAndKernel:
     def test_divisor_itself(self, capsys):
@@ -361,6 +379,26 @@ class TestHilbertCommand:
         code, _, err = run(capsys, "hilbert", "univariate", "-", "-")
         assert code == 2
 
+    def test_order_given_twice_exit_2(self, capsys):
+        assert run(capsys, "hilbert", "kernel", "3", "5", "10", "--order", "12") == (
+            2, "", "error: hilbert takes a truncation order N or --order N, not both\n"
+        )
+
+    @pytest.mark.parametrize("a, b, order, cells", [(11, 13, 20, 146), (9, 11, 99, 102)])
+    def test_denumerant_series_answer_over_the_table_cap(self, capsys, monkeypatch, a, b, order, cells):
+        # full_ring_frobenius and kernel read no semigroup table; semigroup_ring does
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "100")
+        p = [naive_partition_count(a, b, n) for n in range(order + 1)]
+        kernel = [p[n - a * b] if n >= a * b else 0 for n in range(order + 1)]
+        expected = {"full_ring_frobenius": p, "kernel": kernel}
+        for which, coefficients in expected.items():
+            code, out, err = run(capsys, "hilbert", which, str(a), str(b), str(order), "--json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["result"]["coefficients"] == coefficients
+        assert run(capsys, "hilbert", "semigroup_ring", str(a), str(b), str(order)) == (
+            2, "", f"error: table of {cells} cells exceeds SEMIGROUP_MAX_BOUND=100\n"
+        )
+
     def test_non_integer_weight_exit_2(self, capsys):
         code, out, err = run(capsys, "hilbert", "kernel", "3", "x", "5")
         assert code == 2
@@ -414,7 +452,7 @@ class TestRankNullityCommand:
             raise AssertionError("a dense check ran before the refusal")
 
         monkeypatch.setattr(gp, "verify_functional_equation", dense_check)
-        monkeypatch.setattr(gp, "k_polynomial", dense_check)
+        monkeypatch.setattr(gh, "k_polynomial", dense_check)  # the binding pair_checks reads
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "12")
         code, out, err = run(capsys, "verify", "3", "5")
         assert (code, out) == (2, "")
@@ -430,7 +468,7 @@ class TestRankNullityCommand:
             calls.append(table.generators.elements)
             return true_k(table)
 
-        monkeypatch.setattr(gp, "k_polynomial", counted_k)
+        monkeypatch.setattr(gh, "k_polynomial", counted_k)  # the binding pair_checks reads
         # sweep order (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6): 3ab + 1 first exceeds 46 at (4, 5)
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
         code, out, err = run(capsys, "verify", "--sweep", "6")

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from semialg import cli
 from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
@@ -111,15 +110,15 @@ class TestGradedDims:
 
 class TestRankNullity:
     def test_examples(self):
-        assert gh.rank_nullity_check(3, 5, 45)
-        assert gh.rank_nullity_check(2, 3, 18)
-        assert gh.rank_nullity_check(2, 7, 42)
+        assert gh.rank_nullity_failure(3, 5, 45) is None
+        assert gh.rank_nullity_failure(2, 3, 18) is None
+        assert gh.rank_nullity_failure(2, 7, 42) is None
 
     def test_sweep(self):
         for a in range(2, 21):
             for b in range(a + 1, 21):
                 if math.gcd(a, b) == 1:
-                    assert gh.rank_nullity_check(a, b, 3 * a * b)
+                    assert gh.rank_nullity_failure(a, b, 3 * a * b) is None
 
 
 class TestHilbertSeries:
@@ -216,7 +215,7 @@ class TestExactSequenceFaults:
 
     @staticmethod
     def verify_checks(a, b):
-        checks = cli._pair_checks(a, b)
+        checks = gh.pair_checks(a, b)
         return checks["series_identity"], checks["rank_nullity"]
 
     @staticmethod
@@ -242,7 +241,7 @@ class TestExactSequenceFaults:
 
         monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", flipped)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == 1
-        assert not gh.rank_nullity_check(a, b, 3 * a * b)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
         assert self.verify_checks(a, b) == (False, False)
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
@@ -250,7 +249,7 @@ class TestExactSequenceFaults:
         # ab is the first degree where dim K_n is nonzero
         self.bump_denumerant(monkeypatch, lambda a, b: a * b)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == a * b
-        assert not gh.rank_nullity_check(a, b, 3 * a * b)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
         assert self.verify_checks(a, b) == (False, False)
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
@@ -264,8 +263,9 @@ class TestExactSequenceFaults:
 class TestAperySetFaults:
     """A fault in the semigroup table fails the checks verify reads off the K-polynomial.
 
-    functional_equation is K == 1 - q^ab; reciprocal_duality is the symmetry
-    2g = F + 1 of the table's fields and the reflected K, q^ab K(1/q) == q^ab - 1.
+    functional_equation is K == 1 - q^ab; reciprocal_duality is that and the
+    symmetry 2g = F + 1 of the table's fields. The reflected K,
+    q^ab K(1/q) == q^ab - 1, fails exactly when K == 1 - q^ab does.
     """
 
     @staticmethod
@@ -295,23 +295,26 @@ class TestAperySetFaults:
         self.patch_table(monkeypatch, fake_gap)
         table = sc.build_table(sc.validate_pair(a, b))
         assert table.genus == (a - 1) * (b - 1) // 2 + 1
-        checks = cli._pair_checks(a, b)
+        checks = gh.pair_checks(a, b)
         assert not checks["functional_equation"]
         assert not checks["reciprocal_duality"]
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_apery_fault_behind_true_fields_fails_the_reflected_k(self, monkeypatch, a, b):
-        # genus and frobenius keep their true values, so the symmetry test passes
+        # genus and frobenius keep their true values, so the symmetry test passes and only K,
+        # or its reflection, can reject the table
         self.patch_table(monkeypatch, lambda table: dataclasses.replace(table, apery=self.raised_apery(table)))
         table = sc.build_table(sc.validate_pair(a, b))
         assert 2 * table.genus == table.frobenius + 1
         assert {a * b - e: c for e, c in gp.k_polynomial(table).items()} != {a * b: 1, 0: -1}
-        assert not cli._pair_checks(a, b)["reciprocal_duality"]
+        checks = gh.pair_checks(a, b)
+        assert not checks["functional_equation"]
+        assert not checks["reciprocal_duality"]
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_genus_fault_fails_the_symmetry_test_only(self, monkeypatch, a, b):
         # the Apery set is true, so K is 1 - q^ab and only 2g = F + 1 can reject the table
         self.patch_table(monkeypatch, lambda table: dataclasses.replace(table, genus=table.genus + 1))
-        checks = cli._pair_checks(a, b)
+        checks = gh.pair_checks(a, b)
         assert checks["functional_equation"]
         assert not checks["reciprocal_duality"]
