@@ -36,7 +36,6 @@ from .bivariate_algebra import (
     phi_evaluate,
 )
 from .graded_hilbert import (
-    GradedDims,
     TruncatedSeries,
     graded_dims,
     hilbert_series,

@@ -162,13 +162,15 @@ def check_weights(a: int, b: int) -> None:
         raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
 
 
-def check_division_steps(g: BivariatePolynomial, b: int) -> None:
-    """Refuse a division of g by x^b - y^a of more than SEMIGROUP_MAX_BOUND steps.
+def check_division_steps(g: BivariatePolynomial, b: int) -> int:
+    """The steps of a division of g by x^b - y^a, refused past SEMIGROUP_MAX_BOUND.
 
     A term x^i y^j adds floor(i / b) terms to the quotient sum, so the sum
     over the terms of g counts the steps and bounds the quotient's size.
     """
-    check_size("division", sum(i // b for i, _ in g.nums), "steps")
+    steps = sum(i // b for i, _ in g.nums)
+    check_size("division", steps, "steps")
+    return steps
 
 
 def _remainder_numerators(g: BivariatePolynomial, a: int, b: int) -> dict[tuple[int, int], int]:
@@ -195,11 +197,14 @@ def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
 
     The sums run over the int numerators of g, and the quotient and the
     remainder keep its denominator, g.den, until they are put in canonical
-    form. The quotient steps, the sum of floor(i / b), are checked against
-    SEMIGROUP_MAX_BOUND before any work.
+    form. Before any work, SEMIGROUP_MAX_BOUND caps the quotient steps, the
+    sum of floor(i / b), and then the quotient's numerator words: each step's
+    numerator can be as long as g.den, ceil(den.bit_length() / 64) words. With
+    den = 1 the two measures are equal, so only a denominator adds a refusal.
     """
     check_weights(a, b)
-    check_division_steps(g, b)
+    steps = check_division_steps(g, b)
+    check_size("quotient", steps * -(-g.den.bit_length() // 64), "numerator words")
     q: dict[tuple[int, int], int] = {}
     for (i, j), c in g.nums.items():
         if i >= b:

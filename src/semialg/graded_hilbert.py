@@ -8,9 +8,8 @@ plus the rank-nullity and Hilbert-series identities connecting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import sub
 
 from .gap_polynomials import k_polynomial
 from .semigroup_core import COMPLEMENT, build_table, check_size, validate_pair
@@ -30,11 +29,10 @@ class TruncatedSeries:
     __slots__ = ("order", "coefficients")
 
     def __init__(self, order: int, coefficients):
-        coeffs = list(coefficients)
-        if len(coeffs) != order + 1:
-            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
+        self.coefficients = tuple(coefficients)
+        if len(self.coefficients) != order + 1:
+            raise ValueError(f"expected {order + 1} coefficients, got {len(self.coefficients)}")
         self.order = order
-        self.coefficients = tuple(coeffs)
 
     @classmethod
     def geometric(cls, m: int, order: int) -> "TruncatedSeries":
@@ -75,20 +73,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order})"
 
 
-@dataclass(frozen=True)
-class GradedDims:
-    """Component dimensions for the weighted grading by a*i + b*j, up to nmax.
-
-    dim_full[n] counts weighted-degree-n monomials of the two-variable ring,
-    dim_ring[n] is the 0/1 membership dimension of the semigroup ring, and
-    dim_kernel[n] is the dimension of the degree-n slice of the kernel ideal.
-    """
-
-    dim_full: tuple[int, ...]
-    dim_ring: tuple[int, ...]
-    dim_kernel: tuple[int, ...]
-
-
 def _denumerants(a: int, b: int, nmax: int) -> list[int]:
     """p_{a,b}(0..nmax), the coefficients of 1/((1-q^a)(1-q^b)), in O(nmax).
 
@@ -107,6 +91,11 @@ def _kernel_dims(ab: int, full: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     return (0,) * zeros + tuple(full[: len(full) - zeros])
 
 
+def _ring_dims(a: int, b: int, nmax: int) -> bytearray:
+    """dim R_n for n = 0..nmax, one 0/1 byte each: the complement of the semigroup table's gap indicator."""
+    return build_table(validate_pair(a, b)).gap_indicator(nmax).translate(COMPLEMENT)
+
+
 def partition_count(a: int, b: int, n: int) -> int:
     """Number of (i, j) in N_0^2 with a*i + b*j = n. No coprimality needed."""
     if a < 1 or b < 1:
@@ -123,30 +112,33 @@ def check_order(order: int) -> None:
     check_size("series", order + 1, "coefficients")
 
 
-def graded_dims(a: int, b: int, nmax: int) -> GradedDims:
-    """Tabulate dim(E_n), dim(R_n), dim(K_n) for n = 0..nmax.
+def graded_dims(a: int, b: int, nmax: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The tables (dim E_n, dim R_n, dim K_n) for n = 0..nmax, as three tuples.
 
-    dim(E_n) is the denumerant table and dim(K_n) its shift by ab; dim(R_n) comes from the
-    semigroup table, so the exact sequence 0 -> E(-ab) -> E -> R -> 0 is a real check.
+    dim E_n is the denumerant table and dim K_n its shift by ab; dim R_n comes from the
+    semigroup table. rank_nullity_failure and hilbert_series build only the tables they read.
     """
     check_order(nmax)
-    table = build_table(validate_pair(a, b))
+    ring = tuple(_ring_dims(a, b, nmax))
     full = tuple(_denumerants(a, b, nmax))
-    ring = tuple(table.gap_indicator(nmax).translate(COMPLEMENT))
-    return GradedDims(full, ring, _kernel_dims(a * b, full))
+    return full, ring, _kernel_dims(a * b, full)
 
 
 def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
     """The least n <= nmax with dim(E_n) != dim(R_n) + dim(K_n), or None if there is none.
 
-    Read as power series, rank-nullity up to nmax is the series identity
+    dim E_n - dim K_n is p(n) - p(n - ab), compared with dim R_n from the semigroup
+    table. Read as power series, rank-nullity up to nmax is the series identity
     H_E - q^ab H_E = H_R = 1/(1-q) - f_A(q) up to q^nmax.
     """
-    dims = graded_dims(a, b, nmax)
-    sums = tuple(map(add, dims.dim_ring, dims.dim_kernel))
-    if sums == dims.dim_full:  # one comparison of whole tables; only a failure is scanned
+    check_order(nmax)
+    ring = _ring_dims(a, b, nmax)
+    p = _denumerants(a, b, nmax)
+    ab = a * b
+    p[ab:] = map(sub, p[ab:], p)  # the map is read to its end before p changes
+    if p == list(ring):  # one comparison of whole tables; only a failure is scanned
         return None
-    return next(n for n, (s, e) in enumerate(zip(sums, dims.dim_full)) if s != e)
+    return next(n for n, (d, r) in enumerate(zip(p, ring)) if d != r)
 
 
 def pair_checks(a: int, b: int) -> dict[str, bool]:
@@ -171,14 +163,17 @@ def pair_checks(a: int, b: int) -> dict[str, bool]:
 def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> TruncatedSeries:
     """Truncated expansion of one of the five closed-form Hilbert series.
 
-    `which` is one of SERIES_KINDS; the pair (a, b) is ignored for the
-    univariate and degree-graded series. Only semigroup_ring, the dim_ring
-    of graded_dims, builds the semigroup table.
+    `which` is one of SERIES_KINDS. The univariate and degree-graded series
+    take no pair: a and b must be None there, and are needed for the other
+    three. Only semigroup_ring builds the semigroup table, and it builds
+    nothing else.
     """
     check_order(order)
-    if which == "univariate":
-        return TruncatedSeries.geometric(1, order)
-    if which == "full_ring_degree":
+    if which in ("univariate", "full_ring_degree"):
+        if a is not None or b is not None:
+            raise ValueError(f"series kind {which!r} takes no pair (a, b)")
+        if which == "univariate":
+            return TruncatedSeries.geometric(1, order)
         # 1/(1-q)^2 = sum (n+1) q^n
         return TruncatedSeries(order, range(1, order + 2))
     if which not in SERIES_KINDS:
@@ -186,7 +181,7 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
     if a is None or b is None:
         raise ValueError(f"series kind {which!r} needs the pair (a, b)")
     if which == "semigroup_ring":
-        return TruncatedSeries(order, graded_dims(a, b, order).dim_ring)
+        return TruncatedSeries(order, _ring_dims(a, b, order))
     validate_pair(a, b)
     full = _denumerants(a, b, order)
     return TruncatedSeries(order, full if which == "full_ring_frobenius" else _kernel_dims(a * b, full))

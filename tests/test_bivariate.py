@@ -187,7 +187,7 @@ class TestDivide:
 
 
 class TestDivisionStepCap:
-    """divide counts its quotient steps against SEMIGROUP_MAX_BOUND before any work."""
+    """divide counts its quotient steps, then their numerator words, against SEMIGROUP_MAX_BOUND before any work."""
 
     @pytest.mark.parametrize(
         "a, b", [(2, 3), (2, 5), (3, 2)], ids=["x^3 - y^2", "x^5 - y^2", "x^2 - y^3"]
@@ -208,6 +208,29 @@ class TestDivisionStepCap:
         refusal = "division of 1000000000000 steps exceeds SEMIGROUP_MAX_BOUND=10000000"
         with pytest.raises(BoundTooLargeError, match=refusal):
             biv.divide(bp((3 * 10**12, 0, 1)), 2, 3)
+
+    def test_denominator_words_at_cap_answered_one_more_refused(self, monkeypatch):
+        # one step, x^3 over x^3 - y^2, whose numerator is as long as den: 6,400 bits are
+        # 100 words of 64 bits, and 6,401 bits are 101
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "100")
+        g = bp((3, 0, Fraction(1, 2**6399 + 1)))
+        q, r = biv.divide(g, 2, 3)
+        assert q * B.binomial_xb_minus_ya(2, 3) + r == g
+        refusal = "quotient of 101 numerator words exceeds SEMIGROUP_MAX_BOUND=100"
+        with pytest.raises(BoundTooLargeError, match=refusal):
+            biv.divide(bp((3, 0, Fraction(1, 2**6400 + 1))), 2, 3)
+
+    def test_thousand_prime_denominators_refused_at_once(self, monkeypatch):
+        # 1/p_k*x^k for the first 1,000 primes: about 166,000 steps over a den of 11,000 bits
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        primes = [p for p in range(2, 7920) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert len(primes) == 1000
+        g = bp(*((k, 0, Fraction(1, p)) for k, p in enumerate(primes)))
+        refusal = "quotient of 29411559 numerator words exceeds SEMIGROUP_MAX_BOUND=10000000"
+        with pytest.raises(BoundTooLargeError, match=refusal):
+            biv.divide(g, 2, 3)
+        # kernel membership builds no quotient, so the same input is answered
+        assert not biv.in_kernel(g, 2, 3, "divide")
 
 
 # denominators with lcm 3*7*11*13*17*19 = 969969

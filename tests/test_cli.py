@@ -196,7 +196,7 @@ class TestVerifyCommand:
         assert "22 pairs, 22 PASS" in out
 
     def test_pair_reads_the_exact_sequence_once(self, capsys, monkeypatch):
-        calls = {"graded_dims": 0, "build_table": 0}
+        calls = {"_denumerants": 0, "build_table": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -204,15 +204,15 @@ class TestVerifyCommand:
                 return original(*args)
             return wrapper
 
-        monkeypatch.setattr(gh, "graded_dims", counted("graded_dims", gh.graded_dims))
+        monkeypatch.setattr(gh, "_denumerants", counted("_denumerants", gh._denumerants))
         original = sc.build_table
         for module in (sc, gp, gh):
             assert module.build_table is original
             monkeypatch.setattr(module, "build_table", counted("build_table", original))
         assert run(capsys, "verify", "29", "31")[0] == 0
-        # S(A) for dim R_n in the one rank-nullity pass, and for the K-polynomial
-        # both the functional equation and the reciprocal duality are read off
-        assert calls == {"graded_dims": 1, "build_table": 2}
+        # the denumerants and S(A) for dim R_n in the one rank-nullity pass, and S(A) again
+        # for the K-polynomial both the functional equation and the reciprocal duality read
+        assert calls == {"_denumerants": 1, "build_table": 2}
 
     def test_sweep_20_pair_count(self, capsys):
         import math
@@ -369,6 +369,13 @@ class TestHilbertCommand:
     def test_frobenius_grading_coefficient(self, capsys):
         code, out, _ = run(capsys, "hilbert", "full_ring_frobenius", "3", "5", "15", "--json")
         assert json.loads(out)["result"]["coefficients"][15] == 2
+
+    @pytest.mark.parametrize("which", ["univariate", "full_ring_degree"])
+    @pytest.mark.parametrize("pair", [["3", "5"], ["3", "-"], ["-", "5"]])
+    def test_pair_free_kind_refuses_a_pair(self, capsys, which, pair):
+        assert run(capsys, "hilbert", which, *pair, "4") == (
+            2, "", f"error: series kind '{which}' takes no pair (a, b)\n"
+        )
 
     def test_order_flag(self, capsys):
         code, out, _ = run(capsys, "hilbert", "univariate", "-", "-", "--order", "2")

@@ -46,12 +46,12 @@ class TestPartitionCount:
                         assert gh.partition_count(a, b, n) <= 1
 
 
-class TestGradedDims:
+class TestDimensionTables:
     def test_3_5_spot_values(self):
-        dims = gh.graded_dims(3, 5, 20)
-        assert (dims.dim_full[15], dims.dim_ring[15], dims.dim_kernel[15]) == (2, 1, 1)
-        assert (dims.dim_full[7], dims.dim_ring[7], dims.dim_kernel[7]) == (0, 0, 0)
-        assert (dims.dim_full[0], dims.dim_ring[0], dims.dim_kernel[0]) == (1, 1, 0)
+        full, ring, kernel = gh.graded_dims(3, 5, 20)
+        assert (full[15], ring[15], kernel[15]) == (2, 1, 1)
+        assert (full[7], ring[7], kernel[7]) == (0, 0, 0)
+        assert (full[0], ring[0], kernel[0]) == (1, 1, 0)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
@@ -66,9 +66,9 @@ class TestGradedDims:
                 top = ab + a + b
                 p = [gh.partition_count(a, b, n) for n in range(top + 1)]
                 for nmax in (0, ab - 1, ab, top):
-                    dims = gh.graded_dims(a, b, nmax)
-                    assert dims.dim_full == tuple(p[: nmax + 1])
-                    assert dims.dim_kernel == tuple(
+                    full, _, kernel = gh.graded_dims(a, b, nmax)
+                    assert full == tuple(p[: nmax + 1])
+                    assert kernel == tuple(
                         p[n - ab] if n >= ab else 0 for n in range(nmax + 1)
                     )
 
@@ -79,9 +79,9 @@ class TestGradedDims:
 
     def test_dim_ring_is_membership(self):
         table = sc.build_table(sc.validate_generators([4, 7]))
-        dims = gh.graded_dims(4, 7, 60)
+        _, ring, _ = gh.graded_dims(4, 7, 60)
         for n in range(61):
-            assert dims.dim_ring[n] == (1 if table.is_member(n) else 0)
+            assert ring[n] == (1 if table.is_member(n) else 0)
 
     def test_dim_ring_and_semigroup_series_match_naive_members(self):
         # N < F stops the gap slices of some residues short of Ap[r]; N >= F keeps every gap
@@ -93,12 +93,14 @@ class TestGradedDims:
                 members = naive_members((a, b), 3 * a * b)
                 for nmax in (0, F - 1, F, F + 1, 3 * a * b):
                     expected = tuple(int(m) for m in members[: nmax + 1])
-                    assert gh.graded_dims(a, b, nmax).dim_ring == expected
+                    _, ring, _ = gh.graded_dims(a, b, nmax)
+                    assert ring == expected
                     assert gh.hilbert_series("semigroup_ring", a, b, nmax).coefficients == expected
 
     def test_order_over_cap_refused(self, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "50")
-        assert len(gh.graded_dims(3, 5, 49).dim_full) == 50
+        full, _, _ = gh.graded_dims(3, 5, 49)
+        assert len(full) == 50
         message = "series of 51 coefficients exceeds SEMIGROUP_MAX_BOUND=50"
         with pytest.raises(sc.BoundTooLargeError, match=message):
             gh.graded_dims(3, 5, 50)
@@ -157,6 +159,26 @@ class TestHilbertSeries:
             assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product
             q_ab = TS(order, [int(n == a * b) for n in range(order + 1)])
             assert gh.hilbert_series("kernel", a, b, order) == product * q_ab
+
+    def test_semigroup_ring_builds_no_denumerants(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the denumerants were built")
+
+        monkeypatch.setattr(gh, "_denumerants", refused)
+        s = gh.hilbert_series("semigroup_ring", 5, 9, 40)
+        assert s.coefficients == tuple(int(m) for m in naive_members((5, 9), 40))
+
+    @pytest.mark.parametrize("which", ["univariate", "full_ring_degree"])
+    @pytest.mark.parametrize("a, b", [(3, 5), (3, None), (None, 5)])
+    def test_pair_free_kinds_refuse_a_pair(self, monkeypatch, which, a, b):
+        with pytest.raises(ValueError, match=f"series kind '{which}' takes no pair"):
+            gh.hilbert_series(which, a, b, 4)
+        # the order's own refusals come first
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            gh.hilbert_series(which, a, b, -1)
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "5")
+        with pytest.raises(sc.BoundTooLargeError, match="series of 6 coefficients exceeds"):
+            gh.hilbert_series(which, a, b, 5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -250,6 +272,13 @@ class TestExactSequenceFaults:
         self.bump_denumerant(monkeypatch, lambda a, b: a * b)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == a * b
         assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
+        assert self.verify_checks(a, b) == (False, False)
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_denumerant_bumped_below_ab_fails(self, monkeypatch, a, b):
+        # p(a) = 1 is a degree where dim K_n is zero, so dim E_n alone must match dim R_n
+        self.bump_denumerant(monkeypatch, lambda a, b: a)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) == a
         assert self.verify_checks(a, b) == (False, False)
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
