@@ -11,7 +11,6 @@ Subpackages:
 from .semigroup_core import (
     GeneratorSet,
     NotNumericalSemigroupError,
-    Representation,
     SemigroupTable,
     build_table,
     conductor_bound,

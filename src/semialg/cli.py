@@ -95,7 +95,7 @@ def _cmd_frobenius(args) -> int:
         result["gaps"] = _SLOT
     if args.witness is not None:
         rep = sc.represent_from_table(args.witness, table)
-        result["witness"] = None if rep is None else list(rep.coefficients)
+        result["witness"] = rep
 
     def lines():
         out = [f"frobenius={table.frobenius} genus={table.genus} gap_count={table.genus}"]
@@ -106,8 +106,8 @@ def _cmd_frobenius(args) -> int:
         if rep is None:
             out.append(f"witness({args.witness}): none (gap)")
         else:
-            terms = " + ".join(f"{r}*{a}" for a, r in zip(A.elements, rep.coefficients))
-            out.append(f"witness({args.witness}): r={list(rep.coefficients)} [{terms}]")
+            terms = " + ".join(f"{r}*{a}" for a, r in zip(A.elements, rep))
+            out.append(f"witness({args.witness}): r={list(rep)} [{terms}]")
         return out
 
     gap_array = functools.partial(_gap_array, table) if args.gaps else None

@@ -59,15 +59,11 @@ class TruncatedSeries:
         return TruncatedSeries(n, out)
 
     def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coefficients):
-            if n == 0:
-                parts.append(str(c))
-            elif n == 1:
-                parts.append(f"{c}*q")
-            else:
-                parts.append(f"{c}*q^{n}")
-        return " + ".join(parts) + f" + O(q^{self.order + 1})"
+        c = self.coefficients
+        # the terms from q^2 on are joined 16,384 at a time, never one string per term at once
+        blocks = (" + ".join(map("{}*q^{}".format, c[n : n + 16384], range(n, n + 16384)))
+                  for n in range(2, len(c), 16384))
+        return " + ".join([str(c[0]), *(f"{c1}*q" for c1 in c[1:2]), *blocks, f"O(q^{self.order + 1})"])
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order})"

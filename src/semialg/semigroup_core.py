@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 DEFAULT_MAX_BOUND = 10**7
 
@@ -40,8 +40,7 @@ def check_size(what: str, size: int, unit: str) -> None:
         raise BoundTooLargeError(f"{what} of {size} {unit} exceeds SEMIGROUP_MAX_BOUND={cap}")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """A validated set of positive integer generators with gcd 1, sorted ascending."""
 
     elements: tuple[int, ...]
@@ -51,18 +50,7 @@ class GeneratorSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Nonnegative coefficients r_i with sum(a_i * r_i) equal to the represented n."""
-
-    coefficients: tuple[int, ...]
-
-    def value(self, generators: GeneratorSet) -> int:
-        return sum(a * r for a, r in zip(generators.elements, self.coefficients))
-
-
-@dataclass(frozen=True)
-class SemigroupTable:
+class SemigroupTable(NamedTuple):
     """S(A) described by its Apery set with respect to a1 = min(A).
 
     apery[r] is the least element of S(A) congruent to r mod a1, so n is in
@@ -78,7 +66,7 @@ class SemigroupTable:
     genus: int
     # index of the generator on the last step of a shortest path to each
     # residue, for witness backtrace; apery[0] = 0 has no step (-1)
-    _via: tuple[int, ...] = field(repr=False)
+    via: tuple[int, ...]
 
     def is_member(self, n: int) -> bool:
         # negative n never passes: apery values are nonnegative
@@ -175,7 +163,7 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
         apery=apery,
         frobenius=max(apery) - a1,
         genus=sum(w // a1 for w in apery),
-        _via=tuple(via),
+        via=tuple(via),
     )
 
 
@@ -190,8 +178,8 @@ def is_symmetric(A: GeneratorSet) -> bool:
     return 2 * table.genus == table.frobenius + 1
 
 
-def represent_from_table(n: int, table: SemigroupTable) -> Representation | None:
-    """A nonnegative-coefficient representation of n over the table's generators, or None for gaps.
+def represent_from_table(n: int, table: SemigroupTable) -> tuple[int, ...] | None:
+    """Coefficients r_i >= 0 with sum(a_i * r_i) = n over the table's generators, or None for a gap.
 
     n = apery[r] + t * a1 with r = n mod a1; apery[r] is spelled out by
     walking its shortest path back to residue 0, which visits each residue
@@ -205,7 +193,7 @@ def represent_from_table(n: int, table: SemigroupTable) -> Representation | None
     coeffs = [0] * A.k
     coeffs[0] = (n - table.apery[r]) // a1
     while r:
-        idx = table._via[r]
+        idx = table.via[r]
         coeffs[idx] += 1
         r = (r - A.elements[idx]) % a1
-    return Representation(coefficients=tuple(coeffs))
+    return tuple(coeffs)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,6 +498,16 @@ class TestRankNullityCommand:
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_import_and_parser_load_neither_dataclasses_nor_inspect(self):
+        # a fresh isolated interpreter, so no test module's imports count
+        src = os.path.dirname(os.path.dirname(semialg.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import semialg, semialg.cli as cli; cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestDeterminism:

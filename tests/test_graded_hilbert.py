@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -23,6 +22,13 @@ class TestTruncatedSeries:
 
     def test_str(self):
         assert str(TS(2, [1, 0, 3])) == "1 + 0*q + 3*q^2 + O(q^3)"
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 16384, 16385, 16386, 16387, 32770, 40000])
+    def test_str_across_block_boundaries(self, order):
+        # the text is built in blocks of 16,384 terms; compare it with one term per coefficient
+        s = TS(order, [(-1) ** n * (n * n % 1009) for n in range(order + 1)])
+        terms = [str(c) if n == 0 else f"{c}*q" if n == 1 else f"{c}*q^{n}" for n, c in enumerate(s.coefficients)]
+        assert str(s) == " + ".join(terms) + f" + O(q^{order + 1})"
 
 
 class TestPartitionCount:
@@ -319,7 +325,7 @@ class TestAperySetFaults:
             apery = self.raised_apery(table)
             a1 = len(apery)
             genus = sum(w // a1 for w in apery)
-            return dataclasses.replace(table, apery=apery, frobenius=max(apery) - a1, genus=genus)
+            return table._replace(apery=apery, frobenius=max(apery) - a1, genus=genus)
 
         self.patch_table(monkeypatch, fake_gap)
         table = sc.build_table(sc.validate_pair(a, b))
@@ -332,7 +338,7 @@ class TestAperySetFaults:
     def test_apery_fault_behind_true_fields_fails_the_reflected_k(self, monkeypatch, a, b):
         # genus and frobenius keep their true values, so the symmetry test passes and only K,
         # or its reflection, can reject the table
-        self.patch_table(monkeypatch, lambda table: dataclasses.replace(table, apery=self.raised_apery(table)))
+        self.patch_table(monkeypatch, lambda table: table._replace(apery=self.raised_apery(table)))
         table = sc.build_table(sc.validate_pair(a, b))
         assert 2 * table.genus == table.frobenius + 1
         assert {a * b - e: c for e, c in gp.k_polynomial(table).items()} != {a * b: 1, 0: -1}
@@ -343,7 +349,7 @@ class TestAperySetFaults:
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_genus_fault_fails_the_symmetry_test_only(self, monkeypatch, a, b):
         # the Apery set is true, so K is 1 - q^ab and only 2g = F + 1 can reject the table
-        self.patch_table(monkeypatch, lambda table: dataclasses.replace(table, genus=table.genus + 1))
+        self.patch_table(monkeypatch, lambda table: table._replace(genus=table.genus + 1))
         checks = gh.pair_checks(a, b)
         assert checks["functional_equation"]
         assert not checks["reciprocal_duality"]
