@@ -199,7 +199,7 @@ class TestVerifyCommand:
         assert "22 pairs, 22 PASS" in out
 
     def test_pair_reads_the_exact_sequence_once(self, capsys, monkeypatch):
-        calls = {"_denumerants": 0, "build_table": 0}
+        calls = {"_denumerants": 0, "rank_nullity_failure": 0, "build_table": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -207,15 +207,28 @@ class TestVerifyCommand:
                 return original(*args)
             return wrapper
 
-        monkeypatch.setattr(gh, "_denumerants", counted("_denumerants", gh._denumerants))
+        for name in ("_denumerants", "rank_nullity_failure"):
+            monkeypatch.setattr(gh, name, counted(name, getattr(gh, name)))
         original = sc.build_table
         for module in (sc, gp, gh):
             assert module.build_table is original
             monkeypatch.setattr(module, "build_table", counted("build_table", original))
         assert run(capsys, "verify", "29", "31")[0] == 0
-        # the denumerants and S(A) for dim R_n in the one rank-nullity pass, and S(A) again
-        # for the K-polynomial both the functional equation and the reciprocal duality read
-        assert calls == {"_denumerants": 1, "build_table": 2}
+        # one S(A): its K-polynomial for the two K checks, its Apery set against Sylvester's
+        # for rank-nullity and the series identity; no dense pass and no denumerants
+        assert calls == {"_denumerants": 0, "rank_nullity_failure": 0, "build_table": 1}
+
+    def test_pair_with_3ab_over_the_cap_answers(self, capsys, monkeypatch):
+        # verify has no series order: only the table of 4,002,002 cells is capped, not 3ab + 1 = 12,006,001
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        code, out, err = run(capsys, "verify", "2000", "2001")
+        assert (code, out.count(": PASS\n"), err) == (0, 4, "")
+
+    def test_pair_over_the_table_cap_refused(self, capsys, monkeypatch):
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        assert run(capsys, "verify", "3163", "3167") == (
+            2, "", "error: table of 10017226 cells exceeds SEMIGROUP_MAX_BOUND=10000000\n"
+        )
 
     def test_sweep_20_pair_count(self, capsys):
         import math
@@ -446,16 +459,21 @@ class TestRankNullityCommand:
             (["rank-nullity", "3", "5", "--order", "1000000000000"], 1000000000001),
             (["hilbert", "kernel", "3", "5", "1000000000000"], 1000000000001),
             (["rank-nullity", "3", "5", "--order", "50"], 51),
-            (["verify", "3", "5"], 46),
         ],
     )
     def test_order_over_cap_exit_2(self, capsys, monkeypatch, argv, coefficients):
-        # verify checks rank-nullity up to 3ab = 45, so it needs 46 coefficients
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "45")
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: series of {coefficients} coefficients exceeds SEMIGROUP_MAX_BOUND=45\n"
+
+    def test_verify_over_table_cap_exit_2(self, capsys, monkeypatch):
+        # verify has no series order: only the table of (5 - 1) * 3 + 5 + 1 = 18 cells is capped
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "17")
+        assert run(capsys, "verify", "3", "5") == (
+            2, "", "error: table of 18 cells exceeds SEMIGROUP_MAX_BOUND=17\n"
+        )
 
     def test_refused_verify_skips_the_dense_checks(self, capsys, monkeypatch):
         def dense_check(*args):
@@ -466,7 +484,7 @@ class TestRankNullityCommand:
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "12")
         code, out, err = run(capsys, "verify", "3", "5")
         assert (code, out) == (2, "")
-        assert err == "error: series of 46 coefficients exceeds SEMIGROUP_MAX_BOUND=12\n"
+        assert err == "error: table of 18 cells exceeds SEMIGROUP_MAX_BOUND=12\n"
         # a bad pair still reads as one before any cap is checked
         assert run(capsys, "verify", "3", "3") == (2, "", "error: pair must be distinct, got a = b = 3\n")
 
@@ -479,20 +497,34 @@ class TestRankNullityCommand:
             return true_k(table)
 
         monkeypatch.setattr(gh, "k_polynomial", counted_k)  # the binding pair_checks reads
-        # sweep order (2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6): 3ab + 1 first exceeds 46 at (4, 5)
-        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
+        # the sweep starts at its largest pair, (5, 6), whose table of (6 - 1) * 5 + 6 + 1 = 32 cells
+        # is the largest of the sweep: over the cap, it is refused before any pair and before K
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "31")
         code, out, err = run(capsys, "verify", "--sweep", "6")
         assert (code, out) == (2, "")
-        assert err == "error: series of 61 coefficients exceeds SEMIGROUP_MAX_BOUND=46\n"
+        assert err == "error: table of 32 cells exceeds SEMIGROUP_MAX_BOUND=31\n"
         assert calls == []
-        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "91")
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "32")
         assert run(capsys, "verify", "--sweep", "6") == (0, "6 pairs, 6 PASS\n", "")
-        assert calls == [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6)]
+        assert calls == [(5, 6), (4, 5), (3, 5), (2, 5), (3, 4), (2, 3)]
+
+    def test_sweep_of_a_billion_cells_refused_before_any_pair(self, capsys, monkeypatch):
+        def no_pair(*args):
+            raise AssertionError("a pair was verified before the refusal")
+
+        monkeypatch.setattr(gh, "k_polynomial", no_pair)
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        # (99999, 100000) comes first: (100000 - 1) * 99999 + 100000 + 1 cells
+        assert run(capsys, "verify", "--sweep", "100000") == (
+            2, "", "error: table of 9999900002 cells exceeds SEMIGROUP_MAX_BOUND=10000000\n"
+        )
 
     def test_order_at_cap_answers(self, capsys, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "46")
         assert run(capsys, "verify", "3", "5")[0] == 0
         assert run(capsys, "rank-nullity", "3", "5", "--order", "45")[0] == 0
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "18")  # verify 3 5 needs only its table of 18 cells
+        assert run(capsys, "verify", "3", "5")[0] == 0
 
 
 class TestParser:

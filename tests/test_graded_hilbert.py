@@ -237,14 +237,34 @@ class TestSeriesIdentity:
 class TestExactSequenceFaults:
     """A fault in either source of the exact sequence fails every check that reaches its degree.
 
-    verify reads both checks off one rank-nullity pass at 3ab: the series identity
-    sees degrees up to ab + 10, rank-nullity all of them.
+    The dense pass rank_nullity_failure(a, b, N) reaches the degrees up to N. verify reads
+    rank_nullity and series_identity off one comparison of the Apery set with Sylvester's
+    thresholds, which reaches every degree: a threshold moved to the fault's degree fails
+    both, while the two K checks, which do not read the thresholds, still pass.
     """
 
     @staticmethod
-    def verify_checks(a, b):
-        checks = gh.pair_checks(a, b)
-        return checks["series_identity"], checks["rank_nullity"]
+    def verify_checks(monkeypatch, a, b, degree):
+        """pair_checks(a, b) with the dense faults undone and the threshold of degree's residue
+        class moved to degree."""
+        monkeypatch.undo()
+        true_thresholds = gh._sylvester_apery
+
+        def moved(s, t):
+            thresholds = list(true_thresholds(s, t))
+            assert thresholds[degree % s] != degree
+            thresholds[degree % s] = degree
+            return tuple(thresholds)
+
+        monkeypatch.setattr(gh, "_sylvester_apery", moved)
+        return gh.pair_checks(a, b)
+
+    SEQUENCE_FAILS = {
+        "functional_equation": True,
+        "reciprocal_duality": True,
+        "series_identity": False,
+        "rank_nullity": False,
+    }
 
     @staticmethod
     def bump_denumerant(monkeypatch, degree):
@@ -270,7 +290,7 @@ class TestExactSequenceFaults:
         monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", flipped)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == 1
         assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
-        assert self.verify_checks(a, b) == (False, False)
+        assert self.verify_checks(monkeypatch, a, b, 1) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_bumped_denumerant_fails(self, monkeypatch, a, b):
@@ -278,21 +298,44 @@ class TestExactSequenceFaults:
         self.bump_denumerant(monkeypatch, lambda a, b: a * b)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == a * b
         assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
-        assert self.verify_checks(a, b) == (False, False)
+        assert self.verify_checks(monkeypatch, a, b, a * b) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_denumerant_bumped_below_ab_fails(self, monkeypatch, a, b):
         # p(a) = 1 is a degree where dim K_n is zero, so dim E_n alone must match dim R_n
         self.bump_denumerant(monkeypatch, lambda a, b: a)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == a
-        assert self.verify_checks(a, b) == (False, False)
+        assert self.verify_checks(monkeypatch, a, b, a) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
-    def test_fault_past_series_order_fails_rank_nullity_only(self, monkeypatch, a, b):
+    def test_fault_at_2ab_fails_both_verify_keys(self, monkeypatch, a, b):
+        # a dense pass stopped below 2ab misses the fault; verify's comparison has no order, so
+        # rank_nullity and series_identity fail together
         self.bump_denumerant(monkeypatch, lambda a, b: 2 * a * b)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) == 2 * a * b
         assert gh.rank_nullity_failure(a, b, a * b + 10) is None
-        assert self.verify_checks(a, b) == (True, False)
+        assert self.verify_checks(monkeypatch, a, b, 2 * a * b) == self.SEQUENCE_FAILS
+
+
+class TestSylvesterRoute:
+    """verify's residue comparison against dense oracles that share no code with it."""
+
+    def test_closed_form(self):
+        assert gh._sylvester_apery(3, 5) == (0, 10, 5)
+        assert gh._sylvester_apery(2, 7) == (0, 7)
+        assert sorted(gh._sylvester_apery(5, 8)) == [0, 8, 16, 24, 32]
+
+    def test_pair_checks_agree_with_the_dense_oracles(self):
+        for a in range(2, 60):
+            for b in range(2, 60):
+                if a == b or math.gcd(a, b) != 1:
+                    continue
+                checks = gh.pair_checks(a, b)
+                assert checks["rank_nullity"] == (gh.rank_nullity_failure(a, b, 3 * a * b) is None)
+                assert checks["series_identity"] == checks["rank_nullity"]
+                assert checks["functional_equation"] == gp.verify_functional_equation(a, b)
+                assert checks["reciprocal_duality"] == gp.reciprocal_duality(a, b)
+                assert all(checks.values())
 
 
 class TestAperySetFaults:
@@ -300,7 +343,9 @@ class TestAperySetFaults:
 
     functional_equation is K == 1 - q^ab; reciprocal_duality is that and the
     symmetry 2g = F + 1 of the table's fields. The reflected K,
-    q^ab K(1/q) == q^ab - 1, fails exactly when K == 1 - q^ab does.
+    q^ab K(1/q) == q^ab - 1, fails exactly when K == 1 - q^ab does. A faulty
+    Apery set also differs from Sylvester's, so it fails rank_nullity and
+    series_identity too; a fault in the genus alone leaves those two standing.
     """
 
     @staticmethod
@@ -331,8 +376,7 @@ class TestAperySetFaults:
         table = sc.build_table(sc.validate_pair(a, b))
         assert table.genus == (a - 1) * (b - 1) // 2 + 1
         checks = gh.pair_checks(a, b)
-        assert not checks["functional_equation"]
-        assert not checks["reciprocal_duality"]
+        assert not any(checks.values())
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_apery_fault_behind_true_fields_fails_the_reflected_k(self, monkeypatch, a, b):
@@ -343,8 +387,7 @@ class TestAperySetFaults:
         assert 2 * table.genus == table.frobenius + 1
         assert {a * b - e: c for e, c in gp.k_polynomial(table).items()} != {a * b: 1, 0: -1}
         checks = gh.pair_checks(a, b)
-        assert not checks["functional_equation"]
-        assert not checks["reciprocal_duality"]
+        assert not any(checks.values())
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_genus_fault_fails_the_symmetry_test_only(self, monkeypatch, a, b):
@@ -353,3 +396,4 @@ class TestAperySetFaults:
         checks = gh.pair_checks(a, b)
         assert checks["functional_equation"]
         assert not checks["reciprocal_duality"]
+        assert checks["series_identity"] and checks["rank_nullity"]
