@@ -215,19 +215,24 @@ def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
     return DivisionResult(BivariatePolynomial._of(g.den, q), BivariatePolynomial._of(g.den, r))
 
 
+def _image_sums(g: BivariatePolynomial, a: int, b: int) -> dict[int, int]:
+    """g.den times the image of g under x -> t^a, y -> t^b, by degree; zero sums are kept."""
+    sums: dict[int, int] = {}
+    for (i, j), c in g.nums.items():
+        k = a * i + b * j
+        sums[k] = sums[k] + c if k in sums else c
+    return sums
+
+
 def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     """Image of g under x -> t^a, y -> t^b: the nonzero coefficients of g(t^a, t^b) by degree.
 
     Sparse, so its cost does not grow with the exponents. The sums run over
     the int numerators of g, and only a nonzero sum becomes a Fraction, its
-    numerator over g.den: a kernel member builds none.
+    numerator over g.den.
     """
     check_weights(a, b)
-    sums: dict[int, int] = {}
-    for (i, j), c in g.nums.items():
-        k = a * i + b * j
-        sums[k] = sums[k] + c if k in sums else c
-    return {k: Fraction(c, g.den) for k, c in sums.items() if c}
+    return {k: Fraction(c, g.den) for k, c in _image_sums(g, a, b).items() if c}
 
 
 def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") -> bool:
@@ -238,7 +243,7 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
     """
     check_weights(a, b)
     if method == "evaluate":
-        return not phi_evaluate(g, a, b)
+        return not any(_image_sums(g, a, b).values())
     if method == "divide":
         check_division_steps(g, b)
         return not any(_remainder_numerators(g, a, b).values())
@@ -255,67 +260,73 @@ class ParseError(ValueError):
 
 _TERM_RE = re.compile(
     r"""
-    (?P<sign>[+-])? \s*                                          # the sign before the term
+    (?P<sign>[+-])? \s*                                   # the sign before the term
     (?P<term>
-      (?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?   # optional rational coefficient
-      (?:(?P<x>x)(?:\^(?P<xi>\d+))?)? \*?                        # optional x part
-      (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
-    ) \s*                                                        # blanks up to the next sign
+      (?:(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?  # optional rational coefficient
+      (?P<x>x(?:\^\d+)?)? \*?                            # optional x part, x or x^i
+      (?P<y>y(?:\^\d+)?)?                                # optional y part, y or y^j
+    ) \s*                                                 # blanks up to the next sign
     """,
     re.VERBOSE,
 )
+
+
+def _first_fault(s: str) -> ParseError:
+    """The ParseError of the first faulty term of stripped s; the matches before it are back to back."""
+    for m in _TERM_RE.finditer(s):
+        pos, (start, stop) = m.start(), m.span("term")
+        sign, term, num, den, _, _ = m.groups("")
+        if not sign and pos:
+            return ParseError(f"expected '+' or '-' before {s[pos]!r}", pos + 1)
+        if sign == "+" and not pos:
+            return ParseError("unexpected '+'", 1)
+        if start == stop:
+            if start == len(s):
+                return ParseError("dangling operator at end of expression", start)
+            if s[start] in "+-":
+                return ParseError(f"sign {s[start]!r} follows another sign", start + 1)
+            return ParseError(f"cannot parse term starting at {s[start]!r}", start + 1)
+        if term[-1] == "*":
+            return ParseError("dangling '*' at end of term", stop)
+        for g in ("num", "den", "x", "y"):
+            digits = (m[g] or "").lstrip("xy^")
+            try:
+                int(digits or "0")
+            except ValueError:  # past the interpreter's limit on the digits of an int
+                return ParseError(f"numeral of {len(digits)} digits is too long", m.end(g) - len(digits) + 1)
+        if den and not int(den):
+            return ParseError(f"zero denominator in '{num}/{den}'", start + 1)
 
 
 def parse_bivariate(text: str) -> BivariatePolynomial:
     """Parse terms like `3*x^2*y - 1/2*y^4 + 7` in any order.
 
     Only the first term may carry a leading '-'; a sign that follows another
-    sign (`x - -y`) is an error at the second sign. One match of _TERM_RE
-    reads a term with its sign and the blanks after it, so the loop runs once
-    per term. Equal monomials are summed as they come, as int numerators
-    grouped by the denominator written; one pass at the end brings the groups
-    over L, the lcm of those denominators. No term builds a Fraction, and no
-    term is rescaled twice, however many denominators the text has.
+    sign (`x - -y`) is an error at the second sign. One findall of _TERM_RE
+    reads every term with its sign and the blanks after it; the checks and
+    conversions run on its columns, read each distinct denominator and
+    exponent once and build no Fraction. Only faulty text is read again.
     """
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial expression", 1)
-    groups: dict[int, dict[tuple[int, int], int]] = {}  # numerators by denominator
-    pos, end = 0, len(s)
-    while pos < end:
-        # Every part of _TERM_RE is optional, so it always matches; s is
-        # stripped and each match takes the blanks after its term, so s[pos]
-        # is never a blank.
-        m = _TERM_RE.match(s, pos)
-        sign, _, coeff, num, den, x, xi, y, yj = m.groups()
-        start, stop = m.span(2)
-        if sign is None and pos:
-            raise ParseError(f"expected '+' or '-' before {s[pos]!r}", pos + 1)
-        if sign == "+" and not pos:
-            raise ParseError("unexpected '+'", 1)
-        if start == stop:
-            if start == end:
-                raise ParseError("dangling operator at end of expression", end)
-            if s[start] in "+-":
-                raise ParseError(f"sign {s[start]!r} follows another sign", start + 1)
-            raise ParseError(f"cannot parse term starting at {s[start]!r}", start + 1)
-        if s[stop - 1] == "*":
-            raise ParseError("dangling '*' at end of term", stop)
-        n = int(num) if num else 1
-        if sign == "-":
-            n = -n
-        d = int(den) if den else 1
-        if not d:
-            raise ParseError(f"zero denominator in {coeff!r}", start + 1)
-        nums = groups.setdefault(d, {})
-        key = (int(xi) if xi else (1 if x else 0), int(yj) if yj else (1 if y else 0))
-        nums[key] = nums[key] + n if key in nums else n
-        pos = m.end()
-    L = math.lcm(*groups)
-    total: dict[tuple[int, int], int] = {}
-    for d, nums in groups.items():
-        for key, n in nums.items():
-            total[key] = total.get(key, 0) + L // d * n
+    # every part of _TERM_RE is optional, so the last match is the empty one at len(s)
+    parts = _TERM_RE.findall(s)[:-1]
+    signs, terms, _, dens, xs, ys = zip(*parts)
+    if "" in terms or signs[0] == "+" or "" in signs[1:] or "*\n" in "\n".join(terms) + "\n":
+        raise _first_fault(s)
+    try:
+        ds = {d: int(d or "1") for d in set(dens)}
+        L = math.lcm(*ds.values())
+        scale = {d: L // v for d, v in ds.items()}  # a zero denominator makes L zero: 0 // 0 raises
+        power = {p: int(p[2:] or len(p)) for p in {*xs, *ys}}
+        total: dict[tuple[int, int], int] = {}
+        for sign, _, num, den, x, y in parts:
+            key = (power[x], power[y])
+            n = int(sign + (num or "1")) * scale[den]
+            total[key] = total[key] + n if key in total else n
+    except (ValueError, ZeroDivisionError):  # a numeral past int's digit limit, or a zero denominator
+        raise _first_fault(s) from None
     return BivariatePolynomial._of(L, total)
 
 

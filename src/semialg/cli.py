@@ -1,6 +1,7 @@
 """Command-line front end: deterministic text and JSON output for scripting.
 
-Exit codes: 0 success, 2 domain precondition violated, 3 expression parse
+Exit codes: 0 success, 1 a failed check or a stdout closed before the
+output was written, 2 domain precondition violated, 3 expression parse
 error. All randomized checking lives in the test suite; every command here
 is a pure deterministic function of its arguments.
 """
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from itertools import compress
@@ -171,7 +173,6 @@ def _verdict_line(verdicts: dict[str, bool]) -> str:
 def _cmd_divide(args) -> int:
     g = biv.parse_bivariate(args.expr)
     q, r = biv.divide(g, args.a, args.b)
-    divisor = biv.BivariatePolynomial.binomial_xb_minus_ya(args.a, args.b)
     verdicts = {
         "evaluate": biv.in_kernel(g, args.a, args.b, "evaluate"),
         "divide": r.is_zero(),
@@ -184,7 +185,8 @@ def _cmd_divide(args) -> int:
     inputs = {"expr": args.expr, "a": args.a, "b": args.b}
     return _emit(
         args, "divide", inputs, result,
-        lambda: [f"divisor: {divisor}", f"quotient: {q}", f"remainder: {r}", _verdict_line(verdicts)],
+        lambda: [f"divisor: {biv.BivariatePolynomial.binomial_xb_minus_ya(args.a, args.b)}",
+                 f"quotient: {q}", f"remainder: {r}", _verdict_line(verdicts)],
     )
 
 
@@ -289,7 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left, as `| head` does; the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except biv.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

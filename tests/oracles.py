@@ -5,6 +5,9 @@ these are the reference enumerations the real implementations are checked
 against.
 """
 
+import math
+import re
+
 
 def naive_members(generators, limit):
     """Membership array on 0..limit by k-fold loop over coefficient tuples.
@@ -101,6 +104,79 @@ def sparse_mul(f, g):
         for n2, c2 in g.items():
             out[n1 + n2] = out.get(n1 + n2, 0) + c1 * c2
     return {n: c for n, c in out.items() if c != 0}
+
+
+class WalkParseError(ValueError):
+    """A parse error of walk_parse, with the same text and .column as the library's ParseError."""
+
+    def __init__(self, message, column):
+        self.column = column
+        super().__init__(f"{message} (column {column})")
+
+
+_WALK_TERM_RE = re.compile(
+    r"""
+    (?P<sign>[+-])? \s*                                          # the sign before the term
+    (?P<term>
+      (?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?   # optional rational coefficient
+      (?:(?P<x>x)(?:\^(?P<xi>\d+))?)? \*?                        # optional x part
+      (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
+    ) \s*                                                        # blanks up to the next sign
+    """,
+    re.VERBOSE,
+)
+
+
+def walk_parse(text):
+    """(den, nums) of a bivariate expression, read one regex match per term.
+
+    The term-by-term parser the library used before it read all terms in one
+    findall: each match starts where the last one ended, and the first faulty
+    term raises WalkParseError. nums maps (i, j) to nonzero int numerators
+    over den > 0, with their common gcd divided out.
+    """
+    s = text.strip()
+    if not s:
+        raise WalkParseError("empty polynomial expression", 1)
+    groups = {}  # numerators by denominator
+    pos, end = 0, len(s)
+    while pos < end:
+        # Every part of the regex is optional, so it always matches; s is
+        # stripped and each match takes the blanks after its term, so s[pos]
+        # is never a blank.
+        m = _WALK_TERM_RE.match(s, pos)
+        sign, _, coeff, num, den, x, xi, y, yj = m.groups()
+        start, stop = m.span(2)
+        if sign is None and pos:
+            raise WalkParseError(f"expected '+' or '-' before {s[pos]!r}", pos + 1)
+        if sign == "+" and not pos:
+            raise WalkParseError("unexpected '+'", 1)
+        if start == stop:
+            if start == end:
+                raise WalkParseError("dangling operator at end of expression", end)
+            if s[start] in "+-":
+                raise WalkParseError(f"sign {s[start]!r} follows another sign", start + 1)
+            raise WalkParseError(f"cannot parse term starting at {s[start]!r}", start + 1)
+        if s[stop - 1] == "*":
+            raise WalkParseError("dangling '*' at end of term", stop)
+        n = int(num) if num else 1
+        if sign == "-":
+            n = -n
+        d = int(den) if den else 1
+        if not d:
+            raise WalkParseError(f"zero denominator in {coeff!r}", start + 1)
+        nums = groups.setdefault(d, {})
+        key = (int(xi) if xi else (1 if x else 0), int(yj) if yj else (1 if y else 0))
+        nums[key] = nums[key] + n if key in nums else n
+        pos = m.end()
+    L = math.lcm(*groups)
+    total = {}
+    for d, nums in groups.items():
+        for key, n in nums.items():
+            total[key] = total.get(key, 0) + L // d * n
+    total = {key: n for key, n in total.items() if n}
+    g = math.gcd(L, *total.values())
+    return L // g, {key: n // g for key, n in total.items()}
 
 
 def gaps_of(table):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import binomial_normal_form, sparse_add, sparse_mul
+from oracles import WalkParseError, binomial_normal_form, sparse_add, sparse_mul, walk_parse
 from semialg import bivariate_algebra as biv
 from semialg.semigroup_core import BoundTooLargeError
 
@@ -386,6 +386,8 @@ class TestCommonDenominator:
         assert len(biv.bivariate_to_json(q)) == 100 and biv.bivariate_to_json(r) == []
         assert biv.in_kernel(g, a, b, "evaluate")
         assert biv.in_kernel(g, a, b, "divide")
+        # a non-member has nonzero image terms, and the kernel test builds no Fraction for them either
+        assert not biv.in_kernel(g + bp((0, 1, 1)), a, b, "evaluate")
 
 
 class TestDivideAgainstBinomialNormalForm:
@@ -625,6 +627,43 @@ class TestParser:
         with pytest.raises(biv.ParseError) as exc:
             biv.parse_bivariate(text)
         assert exc.value.column == column
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            # the first faulty term is reported, whichever check finds it
+            ("x + 3/0 + 1/" + "9" * 5000, "zero denominator in '3/0'", 5),
+            ("x^" + "9" * 5000 + " + @", "numeral of 5000 digits is too long", 3),
+            ("2*y - " + "7" * 4301 + "*x", "numeral of 4301 digits is too long", 7),
+            ("1/" + "3" * 4400, "numeral of 4400 digits is too long", 3),
+            ("x*y^" + "1" * 4500 + " - x", "numeral of 4500 digits is too long", 5),
+        ],
+        ids=["zero-den-first", "exponent-before-bad-char", "numerator", "denominator", "y-exponent"],
+    )
+    def test_numeral_past_the_int_digit_limit(self, text, message, column):
+        with pytest.raises(biv.ParseError) as exc:
+            biv.parse_bivariate(text)
+        assert str(exc.value) == f"{message} (column {column})" and exc.value.column == column
+
+    @pytest.mark.parametrize("alphabet", ["xy0123456789^*/+- \t", "xy01^*/+- ", "xy12*/^+-  z@"])
+    def test_agrees_with_the_term_by_term_parser(self, alphabet):
+        """Same (den, nums), or the same message and column, as walk_parse on random strings."""
+
+        def outcome(parse, text):
+            try:
+                g = parse(text)
+            except (biv.ParseError, WalkParseError) as exc:
+                return str(exc), exc.column
+            return (g.den, g.nums) if isinstance(g, B) else g
+
+        rng = random.Random(f"parser:{alphabet}")
+        answered = 0
+        for _ in range(7000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            expected = outcome(walk_parse, text)
+            assert outcome(biv.parse_bivariate, text) == expected, text
+            answered += isinstance(expected[1], dict)
+        assert answered > 100  # both outcomes occur: answers and errors
 
     def test_printer_descending_lex(self):
         g = bp((0, 2, 1), (3, 0, 1), (1, 1, -2))

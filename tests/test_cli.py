@@ -336,6 +336,21 @@ class TestDivideAndKernel:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_numeral_past_the_int_digit_limit_exit_3_one_line(self, capsys):
+        code, out, err = run(capsys, "divide", "x^" + "9" * 5000 + " + @", "2", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: numeral of 5000 digits is too long (column 3)\n"
+
+    def test_json_divide_builds_no_divisor(self, capsys, monkeypatch):
+        def no_divisor(*args):
+            raise AssertionError("the divisor was built")
+
+        monkeypatch.setattr(cli.biv.BivariatePolynomial, "binomial_xb_minus_ya", no_divisor)
+        code, out, _ = run(capsys, "divide", "x^4", "2", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["quotient"] == [[1, 0, 1]]
+
     @pytest.mark.parametrize(
         "argv, steps",
         [
@@ -540,6 +555,22 @@ class TestParser:
         )
         out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
         assert out == "[]\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_reader_leaving_early_gives_exit_1_and_no_traceback(self, json_flag):
+        # about 1.4 MB of gaps, far more than a pipe holds, so the write meets the closed pipe
+        src = os.path.dirname(os.path.dirname(semialg.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semialg.cli", "gaps", "643", "634", *json_flag],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestDeterminism:
