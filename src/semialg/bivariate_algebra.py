@@ -267,7 +267,7 @@ _TERM_RE = re.compile(
       (?P<y>y(?:\^\d+)?)?                                # optional y part, y or y^j
     ) \s*                                                 # blanks up to the next sign
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # \d and \s: ASCII digits and blanks only
 )
 
 
@@ -307,7 +307,7 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
     conversions run on its columns, read each distinct denominator and
     exponent once and build no Fraction. Only faulty text is read again.
     """
-    s = text.strip()
+    s = text.strip(" \t\n\r\f\v")  # the blanks \s matches, so a Unicode blank is refused anywhere
     if not s:
         raise ParseError("empty polynomial expression", 1)
     # every part of _TERM_RE is optional, so the last match is the empty one at len(s)

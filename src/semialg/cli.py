@@ -226,8 +226,8 @@ def _cmd_hilbert(args) -> int:
         raise ValueError("hilbert needs a truncation order (positional N or --order)")
     a, b = _opt_int(args.a, "a"), _opt_int(args.b, "b")
     series = gh.hilbert_series(args.which, a, b, order)
-    result = {"which": args.which, "a": a, "b": b, **gh.series_to_json(series)}
     inputs = {"which": args.which, "a": a, "b": b, "order": order}
+    result = {**inputs, "coefficients": list(series.coefficients)}
     return _emit(args, "hilbert", inputs, result, lambda: [str(series)])
 
 

@@ -1,18 +1,17 @@
-"""Graded dimensions, partition counts, truncated Hilbert series, and verify's pair checks.
+"""Graded dimensions, partition counts, truncated Hilbert series, and the exact sequence.
 
-Tabulated exactly up to a caller-chosen order: the denumerant p_{a,b}(n), the graded
-dimensions of the weighted polynomial ring, the semigroup ring and the kernel ideal, and
-the rank-nullity identity connecting them. verify's pair checks take no order: they compare
-the Apery set with Sylvester's closed form, which settles every degree at once.
+Tabulated exactly up to a caller-chosen order: the denumerant p_{a,b}(n) and the graded
+dimensions of the weighted polynomial ring, the semigroup ring and the kernel ideal.
+rank-nullity and verify read the exact sequence connecting them off one comparison of the
+Apery set with Sylvester's closed form, which settles every degree at once.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import sub
 
 from .gap_polynomials import k_polynomial
-from .semigroup_core import COMPLEMENT, build_table, check_size, validate_pair
+from .semigroup_core import COMPLEMENT, SemigroupTable, build_table, check_size, validate_pair
 
 SERIES_KINDS = (
     "full_ring_degree",
@@ -117,23 +116,6 @@ def graded_dims(a: int, b: int, nmax: int) -> tuple[tuple[int, ...], tuple[int, 
     return full, ring, _kernel_dims(a * b, full)
 
 
-def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
-    """The least n <= nmax with dim(E_n) != dim(R_n) + dim(K_n), or None if there is none.
-
-    dim E_n - dim K_n is p(n) - p(n - ab), compared with dim R_n from the semigroup
-    table. Read as power series, rank-nullity up to nmax is the series identity
-    H_E - q^ab H_E = H_R = 1/(1-q) - f_A(q) up to q^nmax.
-    """
-    check_order(nmax)
-    ring = _ring_dims(a, b, nmax)
-    p = _denumerants(a, b, nmax)
-    ab = a * b
-    p[ab:] = map(sub, p[ab:], p)  # the map is read to its end before p changes
-    if p == list(ring):  # one comparison of whole tables; only a failure is scanned
-        return None
-    return next(n for n, (d, r) in enumerate(zip(p, ring)) if d != r)
-
-
 def _sylvester_apery(s: int, t: int) -> tuple[int, ...]:
     """Ap(<s, t>, s) = {0, t, ..., (s - 1)t} by residue r mod s, for coprime s < t (Sylvester).
 
@@ -143,15 +125,35 @@ def _sylvester_apery(s: int, t: int) -> tuple[int, ...]:
     return tuple(t * (r * inverse % s) for r in range(s))
 
 
+def _first_failure(table: SemigroupTable) -> int | None:
+    """The least n with dim E_n != dim R_n + dim K_n for the pair of table, or None if there is none.
+
+    In class r mod s, dim R_n = [n >= apery[r]] and dim E_n - dim K_n = [n >= sylvester[r]].
+    """
+    apery, sylvester = table.apery, _sylvester_apery(*table.generators.elements)
+    # a class whose thresholds differ fails from the lower one on; passing is one tuple comparison
+    return None if apery == sylvester else min(min(w, v) for w, v in zip(apery, sylvester) if w != v)
+
+
+def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
+    """The least n <= nmax with dim(E_n) != dim(R_n) + dim(K_n), or None: one table, any nmax.
+
+    Read as power series, that is where H_E - q^ab H_E = H_R = 1/(1-q) - f_A(q) first fails.
+    """
+    if nmax < 0:
+        raise ValueError("truncation order must be nonnegative")
+    n = _first_failure(build_table(validate_pair(a, b)))
+    return n if n is not None and n <= nmax else None
+
+
 def pair_checks(a: int, b: int) -> dict[str, bool]:
     """The four checks of 0 -> E(-ab) -> E -> R -> 0 that `semialg verify a b` prints, by name.
 
-    All read one table. As dim R_n = [n >= apery[n mod s]], the sequence holds in every degree, and
-    as power series to every order, exactly when the Apery set is Sylvester's. K == 1 - q^ab is the
-    functional equation cleared of denominators, as is its reciprocal q^ab K(1/q) = q^ab - 1.
+    All read one table: the sequence in every degree is its Apery set against Sylvester's, and
+    K == 1 - q^ab the functional equation cleared of denominators, as is q^ab K(1/q) = q^ab - 1.
     """
     table = build_table(validate_pair(a, b))
-    exact = table.apery == _sylvester_apery(*table.generators.elements)
+    exact = _first_failure(table) is None
     functional_equation = k_polynomial(table) == {0: 1, a * b: -1}
     return {  # reciprocal_duality adds only the symmetry 2g = F + 1
         "functional_equation": functional_equation,
@@ -186,7 +188,3 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
     validate_pair(a, b)
     full = _denumerants(a, b, order)
     return TruncatedSeries(order, full if which == "full_ring_frobenius" else _kernel_dims(a * b, full))
-
-
-def series_to_json(s: TruncatedSeries) -> dict:
-    return {"order": s.order, "coefficients": list(s.coefficients)}

@@ -123,7 +123,7 @@ _WALK_TERM_RE = re.compile(
       (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
     ) \s*                                                        # blanks up to the next sign
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -135,7 +135,7 @@ def walk_parse(text):
     term raises WalkParseError. nums maps (i, j) to nonzero int numerators
     over den > 0, with their common gcd divided out.
     """
-    s = text.strip()
+    s = text.strip(" \t\n\r\f\v")
     if not s:
         raise WalkParseError("empty polynomial expression", 1)
     groups = {}  # numerators by denominator

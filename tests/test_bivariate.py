@@ -645,6 +645,24 @@ class TestParser:
             biv.parse_bivariate(text)
         assert str(exc.value) == f"{message} (column {column})" and exc.value.column == column
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("\u0663x", 1), ("x^\u0662", 2), ("x^2\u3000+ y", 4), ("\u3000x", 1), ("x\u3000", 2),
+         ("x\xa0+ y", 2), ("\x1cx", 1)],
+    )
+    def test_non_ascii_digits_and_blanks_refused(self, text, column):
+        # \d and \s read ASCII only, and only ASCII blanks are stripped, so a Unicode digit or
+        # blank is refused wherever it stands, as walk_parse refuses it
+        with pytest.raises(biv.ParseError) as exc:
+            biv.parse_bivariate(text)
+        assert exc.value.column == column
+        with pytest.raises(WalkParseError) as walked:
+            walk_parse(text)
+        assert (str(walked.value), walked.value.column) == (str(exc.value), column)
+
+    def test_ascii_blanks_stripped(self):
+        assert biv.parse_bivariate(" \t\n\r\f\vx^2 +\ty \v") == bp((2, 0, 1), (0, 1, 1))
+
     @pytest.mark.parametrize("alphabet", ["xy0123456789^*/+- \t", "xy01^*/+- ", "xy12*/^+-  z@"])
     def test_agrees_with_the_term_by_term_parser(self, alphabet):
         """Same (den, nums), or the same message and column, as walk_parse on random strings."""

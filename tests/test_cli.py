@@ -336,6 +336,19 @@ class TestDivideAndKernel:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("\u0663x^\u0662 - y", "cannot parse term starting at '\u0663' (column 1)"),
+            ("x^2\u3000+ y", "expected '+' or '-' before '\\u3000' (column 4)"),
+        ],
+        ids=["arabic-indic-digits", "ideographic-space"],
+    )
+    def test_non_ascii_digit_or_blank_exit_3_one_line(self, capsys, expr, message):
+        # the grammar's digits and blanks are ASCII: these once read as 3x^2 - y and x^2 + y
+        code, out, err = run(capsys, "kernel", expr, "2", "3")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_numeral_past_the_int_digit_limit_exit_3_one_line(self, capsys):
         code, out, err = run(capsys, "divide", "x^" + "9" * 5000 + " + @", "2", "3")
         assert code == 3
@@ -471,9 +484,8 @@ class TestRankNullityCommand:
     @pytest.mark.parametrize(
         "argv, coefficients",
         [
-            (["rank-nullity", "3", "5", "--order", "1000000000000"], 1000000000001),
             (["hilbert", "kernel", "3", "5", "1000000000000"], 1000000000001),
-            (["rank-nullity", "3", "5", "--order", "50"], 51),
+            (["hilbert", "kernel", "3", "5", "50"], 51),
         ],
     )
     def test_order_over_cap_exit_2(self, capsys, monkeypatch, argv, coefficients):
@@ -482,6 +494,43 @@ class TestRankNullityCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: series of {coefficients} coefficients exceeds SEMIGROUP_MAX_BOUND=45\n"
+
+    @pytest.mark.parametrize("order", ["1000000000000", "50"])
+    def test_order_past_the_cap_answers(self, capsys, monkeypatch, order):
+        # rank-nullity builds nothing order-sized: only its table of 18 cells is capped
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "45")
+        assert run(capsys, "rank-nullity", "3", "5", "--order", order) == (
+            0, f"rank_nullity up to n={order}: PASS\n", ""
+        )
+
+    def test_over_table_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "17")
+        assert run(capsys, "rank-nullity", "3", "5") == (
+            2, "", "error: table of 18 cells exceeds SEMIGROUP_MAX_BOUND=17\n"
+        )
+
+    def test_3ab_over_the_cap_answers(self, capsys, monkeypatch):
+        # 3ab + 1 = 12,006,001 would be refused as a series; the table of 4,002,002 cells is not
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        assert run(capsys, "rank-nullity", "2000", "2001") == (0, "rank_nullity up to n=12006000: PASS\n", "")
+
+    def test_reads_one_table_and_no_denumerants(self, capsys, monkeypatch):
+        calls = {"_denumerants": 0, "build_table": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(gh, "_denumerants", counted("_denumerants", gh._denumerants))
+        original = sc.build_table
+        for module in (sc, gp, gh):
+            assert module.build_table is original
+            monkeypatch.setattr(module, "build_table", counted("build_table", original))
+        assert run(capsys, "rank-nullity", "29", "31")[0] == 0
+        # one S(A), its Apery set against Sylvester's: no dense pass and no denumerants
+        assert calls == {"_denumerants": 0, "build_table": 1}
 
     def test_verify_over_table_cap_exit_2(self, capsys, monkeypatch):
         # verify has no series order: only the table of (5 - 1) * 3 + 5 + 1 = 18 cells is capped

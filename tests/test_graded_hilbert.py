@@ -11,6 +11,14 @@ from oracles import naive_members, naive_partition_count
 TS = gh.TruncatedSeries
 
 
+def dense_failure(a, b, nmax):
+    """The least n <= nmax with dim E_n != dim R_n + dim K_n, read off the dense tables of
+    graded_dims: the denumerants and the gap indicator, not the Apery comparison that
+    rank_nullity_failure and pair_checks read."""
+    full, ring, kernel = gh.graded_dims(a, b, nmax)
+    return next((n for n, (e, r, k) in enumerate(zip(full, ring, kernel)) if e != r + k), None)
+
+
 class TestTruncatedSeries:
     def test_geometric(self):
         assert TS.geometric(1, 4).coefficients == (1, 1, 1, 1, 1)
@@ -112,7 +120,10 @@ class TestDimensionTables:
             gh.graded_dims(3, 5, 50)
         with pytest.raises(sc.BoundTooLargeError, match=message):
             gh.hilbert_series("univariate", None, None, 50)
-        with pytest.raises(sc.BoundTooLargeError, match=message):
+        # rank_nullity_failure allocates nothing order-sized: only its table of 18 cells is capped
+        assert gh.rank_nullity_failure(3, 5, 50) is None
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "17")
+        with pytest.raises(sc.BoundTooLargeError, match="table of 18 cells exceeds SEMIGROUP_MAX_BOUND=17"):
             gh.rank_nullity_failure(3, 5, 50)
 
 
@@ -127,6 +138,15 @@ class TestRankNullity:
             for b in range(a + 1, 21):
                 if math.gcd(a, b) == 1:
                     assert gh.rank_nullity_failure(a, b, 3 * a * b) is None
+
+    @pytest.mark.parametrize("nmax", [-1, -5])
+    def test_negative_order_rejected(self, nmax):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            gh.rank_nullity_failure(3, 5, nmax)
+
+    def test_order_past_any_table_answers(self):
+        # one table of 4,002,002 cells, whatever the order: no denumerant or indicator of 10^12 entries
+        assert gh.rank_nullity_failure(2000, 2001, 10**12) is None
 
 
 class TestHilbertSeries:
@@ -237,17 +257,17 @@ class TestSeriesIdentity:
 class TestExactSequenceFaults:
     """A fault in either source of the exact sequence fails every check that reaches its degree.
 
-    The dense pass rank_nullity_failure(a, b, N) reaches the degrees up to N. verify reads
-    rank_nullity and series_identity off one comparison of the Apery set with Sylvester's
-    thresholds, which reaches every degree: a threshold moved to the fault's degree fails
-    both, while the two K checks, which do not read the thresholds, still pass.
+    The dense oracle dense_failure(a, b, N) reads graded_dims, the denumerants and the gap
+    indicator, and reaches the degrees up to N. rank_nullity_failure and verify's rank_nullity
+    and series_identity read one comparison of the Apery set with Sylvester's thresholds, which
+    reaches every degree: a threshold moved to a gap d makes rank_nullity_failure(a, b, N)
+    return d for N >= d and None below, and fails both verify keys, while the two K checks,
+    which do not read the thresholds, still pass.
     """
 
     @staticmethod
-    def verify_checks(monkeypatch, a, b, degree):
-        """pair_checks(a, b) with the dense faults undone and the threshold of degree's residue
-        class moved to degree."""
-        monkeypatch.undo()
+    def move_threshold(monkeypatch, degree):
+        """Sylvester's threshold of degree's residue class moved to degree."""
         true_thresholds = gh._sylvester_apery
 
         def moved(s, t):
@@ -257,6 +277,13 @@ class TestExactSequenceFaults:
             return tuple(thresholds)
 
         monkeypatch.setattr(gh, "_sylvester_apery", moved)
+
+    @classmethod
+    def verify_checks(cls, monkeypatch, a, b, degree):
+        """pair_checks(a, b) with the dense faults undone and the threshold of degree's residue
+        class moved to degree."""
+        monkeypatch.undo()
+        cls.move_threshold(monkeypatch, degree)
         return gh.pair_checks(a, b)
 
     SEQUENCE_FAILS = {
@@ -288,23 +315,23 @@ class TestExactSequenceFaults:
             return is_gap
 
         monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", flipped)
-        assert gh.rank_nullity_failure(a, b, 3 * a * b) == 1
-        assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
+        assert dense_failure(a, b, 3 * a * b) == 1
+        assert dense_failure(a, b, 3 * a * b) is not None
         assert self.verify_checks(monkeypatch, a, b, 1) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_bumped_denumerant_fails(self, monkeypatch, a, b):
         # ab is the first degree where dim K_n is nonzero
         self.bump_denumerant(monkeypatch, lambda a, b: a * b)
-        assert gh.rank_nullity_failure(a, b, 3 * a * b) == a * b
-        assert gh.rank_nullity_failure(a, b, 3 * a * b) is not None
+        assert dense_failure(a, b, 3 * a * b) == a * b
+        assert dense_failure(a, b, 3 * a * b) is not None
         assert self.verify_checks(monkeypatch, a, b, a * b) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_denumerant_bumped_below_ab_fails(self, monkeypatch, a, b):
         # p(a) = 1 is a degree where dim K_n is zero, so dim E_n alone must match dim R_n
         self.bump_denumerant(monkeypatch, lambda a, b: a)
-        assert gh.rank_nullity_failure(a, b, 3 * a * b) == a
+        assert dense_failure(a, b, 3 * a * b) == a
         assert self.verify_checks(monkeypatch, a, b, a) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
@@ -312,13 +339,31 @@ class TestExactSequenceFaults:
         # a dense pass stopped below 2ab misses the fault; verify's comparison has no order, so
         # rank_nullity and series_identity fail together
         self.bump_denumerant(monkeypatch, lambda a, b: 2 * a * b)
-        assert gh.rank_nullity_failure(a, b, 3 * a * b) == 2 * a * b
-        assert gh.rank_nullity_failure(a, b, a * b + 10) is None
+        assert dense_failure(a, b, 3 * a * b) == 2 * a * b
+        assert dense_failure(a, b, a * b + 10) is None
         assert self.verify_checks(monkeypatch, a, b, 2 * a * b) == self.SEQUENCE_FAILS
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    @pytest.mark.parametrize("gap", ["1", "F"])
+    def test_moved_threshold_is_the_first_failure(self, monkeypatch, a, b, gap):
+        # a gap d lies below the true threshold of its class, so the moved one is the lower of the two
+        d = 1 if gap == "1" else a * b - a - b
+        self.move_threshold(monkeypatch, d)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) == d
+        assert gh.rank_nullity_failure(a, b, d) == d
+        assert gh.rank_nullity_failure(a, b, d - 1) is None
+        assert gh.pair_checks(a, b) == self.SEQUENCE_FAILS
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_dense_faults_do_not_reach_the_route(self, monkeypatch, a, b):
+        # rank_nullity_failure reads neither the denumerants nor the gap indicator
+        self.bump_denumerant(monkeypatch, lambda a, b: a)
+        monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", None)
+        assert gh.rank_nullity_failure(a, b, 3 * a * b) is None
 
 
 class TestSylvesterRoute:
-    """verify's residue comparison against dense oracles that share no code with it."""
+    """The Apery comparison of rank-nullity and verify against dense oracles that do not read it."""
 
     def test_closed_form(self):
         assert gh._sylvester_apery(3, 5) == (0, 10, 5)
@@ -331,7 +376,10 @@ class TestSylvesterRoute:
                 if a == b or math.gcd(a, b) != 1:
                     continue
                 checks = gh.pair_checks(a, b)
-                assert checks["rank_nullity"] == (gh.rank_nullity_failure(a, b, 3 * a * b) is None)
+                assert checks["rank_nullity"] == (dense_failure(a, b, 3 * a * b) is None)
+                F, ab = a * b - a - b, a * b
+                for nmax in (0, F, ab, 3 * ab):
+                    assert gh.rank_nullity_failure(a, b, nmax) == dense_failure(a, b, nmax)
                 assert checks["series_identity"] == checks["rank_nullity"]
                 assert checks["functional_equation"] == gp.verify_functional_equation(a, b)
                 assert checks["reciprocal_duality"] == gp.reciprocal_duality(a, b)
