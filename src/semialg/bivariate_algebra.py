@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .semigroup_core import check_size
+
+if TYPE_CHECKING:  # fractions is imported only where a Fraction is built or checked
+    from fractions import Fraction
 
 
 def _monomial_text(i: int, j: int) -> str:
@@ -60,8 +62,10 @@ class BivariatePolynomial:
                     raise TypeError(f"exponents must be ints, got {type(i).__name__} and {type(j).__name__}")
                 if i < 0 or j < 0:
                     raise ValueError(f"exponents must be nonnegative, got {m}")
-                if type(c) is not Fraction and type(c) is not int:
-                    raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
+                if type(c) is not int:
+                    from fractions import Fraction
+                    if type(c) is not Fraction:
+                        raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
                 ratios[i, j] = c.as_integer_ratio()
         L = math.lcm(*[d for _, d in ratios.values()])
         self.den, self.nums = _canonical(L, {m: L // d * n for m, (n, d) in ratios.items()})
@@ -76,6 +80,7 @@ class BivariatePolynomial:
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """A new dict of the nonzero Fraction coefficients by (i, j)."""
+        from fractions import Fraction
         den = self.den
         return {m: Fraction(c, den) for m, c in self.nums.items()}
 
@@ -231,6 +236,7 @@ def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     the int numerators of g, and only a nonzero sum becomes a Fraction, its
     numerator over g.den.
     """
+    from fractions import Fraction
     check_weights(a, b)
     return {k: Fraction(c, g.den) for k, c in _image_sums(g, a, b).items() if c}
 
@@ -263,7 +269,7 @@ _TERM_RE = re.compile(
     (?P<sign>[+-])? \s*                                   # the sign before the term
     (?P<term>
       (?:(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?  # optional rational coefficient
-      (?P<x>x(?:\^\d+)?)? \*?                            # optional x part, x or x^i
+      (?:(?P<x>x(?:\^\d+)?) \*?)?                        # optional x part, x or x^i, and its '*'
       (?P<y>y(?:\^\d+)?)?                                # optional y part, y or y^j
     ) \s*                                                 # blanks up to the next sign
     """,

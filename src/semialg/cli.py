@@ -1,9 +1,9 @@
 """Command-line front end: deterministic text and JSON output for scripting.
 
 Exit codes: 0 success, 1 a failed check or a stdout closed before the
-output was written, 2 domain precondition violated, 3 expression parse
-error. All randomized checking lives in the test suite; every command here
-is a pure deterministic function of its arguments.
+output was written, 2 domain precondition violated or a usage error, 3
+expression parse error. All randomized checking lives in the test suite;
+every command here is a pure deterministic function of its arguments.
 """
 
 from __future__ import annotations
@@ -231,10 +231,23 @@ def _cmd_hilbert(args) -> int:
     return _emit(args, "hilbert", inputs, result, lambda: [str(series)])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is the one line `error: <message>`, exit code 2.
+
+    add_subparsers makes each command's parser of the same class. build_parser
+    sets the top-level parser's `commands`, each command's parser by name.
+    """
+
+    commands: dict[str, _Parser]
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The semialg argument parser, built once per process and shared by every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semialg",
         description="Exact computations on numerical semigroups, gap polynomials, "
         "bivariate division, and Hilbert series.",
@@ -285,11 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, nargs="?", help="truncation order")
     p.add_argument("--order", type=int, metavar="N", help="truncation order (alternative)")
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv, parsed by the named command's own parser.
+
+    The top-level parser reads only argv that names no command first: no
+    arguments, -h or an unknown name. Its Namespace would also hold `command`.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

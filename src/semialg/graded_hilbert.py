@@ -38,7 +38,9 @@ class TruncatedSeries:
         """1 / (1 - q^m) truncated: coefficient 1 at multiples of m."""
         if m < 1:
             raise ValueError("geometric step must be positive")
-        return cls(order, [1 if n % m == 0 else 0 for n in range(order + 1)])
+        c = [0] * (order + 1)
+        c[::m] = [1] * (order // m + 1)
+        return cls(order, c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

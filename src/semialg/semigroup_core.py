@@ -162,7 +162,8 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
         bound=bound,
         apery=apery,
         frobenius=max(apery) - a1,
-        genus=sum(w // a1 for w in apery),
+        # apery[r] = r (mod a1), so the gaps of class r, floor(apery[r] / a1), sum exactly to this
+        genus=(sum(apery) - a1 * (a1 - 1) // 2) // a1,
         via=tuple(via),
     )
 

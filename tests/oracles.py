@@ -119,7 +119,7 @@ _WALK_TERM_RE = re.compile(
     (?P<sign>[+-])? \s*                                          # the sign before the term
     (?P<term>
       (?P<coeff>(?P<num>\d+)(?:/(?P<den>\d+))?)? (?:(?<=\d)\*)?   # optional rational coefficient
-      (?:(?P<x>x)(?:\^(?P<xi>\d+))?)? \*?                        # optional x part
+      (?:(?P<x>x)(?:\^(?P<xi>\d+))? \*?)?                        # optional x part and its '*'
       (?:(?P<y>y)(?:\^(?P<yj>\d+))?)?                            # optional y part
     ) \s*                                                        # blanks up to the next sign
     """,

@@ -375,7 +375,8 @@ class TestCommonDenominator:
         def no_fraction(*args, **kwargs):
             raise AssertionError("a Fraction was built")
 
-        monkeypatch.setattr(biv, "Fraction", no_fraction)
+        # bivariate_algebra imports fractions where it builds a Fraction, so patch the module itself
+        monkeypatch.setattr("fractions.Fraction", no_fraction)
         with pytest.raises(AssertionError, match="a Fraction was built"):
             member.terms
         g = biv.parse_bivariate(text)
@@ -577,7 +578,8 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "text, column",
-        [("3*", 2), ("x*", 2), ("x^2*", 4), ("y + 2*x*", 8), ("x - 3*", 6)],
+        # a '*' needs a factor before it, so 3**y is 3* then *y, not 3y
+        [("3*", 2), ("x*", 2), ("x^2*", 4), ("y + 2*x*", 8), ("x - 3*", 6), ("3**y", 2), ("2**x", 2)],
     )
     def test_trailing_star_reported_at_its_column(self, text, column):
         with pytest.raises(biv.ParseError, match="dangling") as exc:

@@ -328,6 +328,9 @@ class TestDivideAndKernel:
             ("x - -y", "sign '-' follows another sign (column 5)"),
             ("x + -y", "sign '-' follows another sign (column 5)"),
             ("- -x", "sign '-' follows another sign (column 3)"),
+            ("*y", "cannot parse term starting at '*' (column 1)"),
+            ("x - *y", "cannot parse term starting at '*' (column 5)"),
+            ("3**y", "dangling '*' at end of term (column 2)"),
         ],
     )
     def test_bad_expression_exit_3_one_line(self, capsys, expr, message):
@@ -598,12 +601,77 @@ class TestParser:
     def test_import_and_parser_load_neither_dataclasses_nor_inspect(self):
         # a fresh isolated interpreter, so no test module's imports count
         src = os.path.dirname(os.path.dirname(semialg.__file__))
+        # no Fraction is built on these routes, so neither fractions nor its decimal loads
+        argvs = [
+            ["verify", "3", "5"], ["hilbert", "kernel", "3", "5", "9", "--json"], ["gaps", "3", "5", "--json"],
+            ["kernel", "x^3 - y^2", "2", "3", "--json"], ["divide", "x^4", "2", "3", "--json"],
+        ]
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import semialg, semialg.cli as cli; cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr); "
+            f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+            "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)"
         )
-        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
-        assert out == "[]\n"
+        err = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stderr
+        assert err == f"[]\n{[0] * len(argvs)} []\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobenius", "3", "5"],
+            ["frobenius", "--gaps", "--witness=5", "3", "5", "7"],
+            ["frobenius", "--js", "3", "5", "--witness", "8"],
+            ["gaps", "--json", "4", "6", "9"],
+            ["gap-poly", "3", "5"],
+            ["verify", "3", "5", "--js"],
+            ["verify", "--sweep", "12"],
+            ["verify"],
+            ["divide", "--json", "x^4 - 1/2*x*y", "2", "3"],
+            ["divide", "-x^4 + y", "2", "3"],
+            ["kernel", "x^3 - y^2", "--js", "2", "3"],
+            ["rank-nullity", "--order=40", "3", "5"],
+            ["rank-nullity", "3", "5"],
+            ["hilbert", "univariate", "-", "-", "10"],
+            ["hilbert", "--order", "20", "kernel", "3", "5", "--json"],
+            ["hilbert", "full_ring_degree", "-", "-", "--order=7"],
+        ],
+    )
+    def test_command_parser_gives_the_full_parsers_namespace(self, argv):
+        # main reads argv with the command's own parser; the full parser also records `command`
+        full = vars(cli.build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(cli._parse(argv)) == full
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frobenius"], "the following arguments are required: generators"),
+            (["divide", "x", "2"], "the following arguments are required: b"),
+            (["frobenius", "3", "x"], "argument generators: invalid int value: 'x'"),
+            (["frobenius", "3", "5", "--bogus"], "unrecognized arguments: --bogus"),
+            (["verify", "--sweep"], "argument --sweep: expected one argument"),
+            (["bogus", "3", "5"], "argument command: invalid choice: 'bogus'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_is_one_line_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["-h"], "semialg [-h]"), (["--help"], "semialg [-h]"), (["frobenius", "-h"], "semialg frobenius [-h]"),
+         (["hilbert", "--help"], "semialg hilbert [-h]")],
+    )
+    def test_help_is_unchanged(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith(f"usage: {usage}")
 
 
 class TestClosedStdout:
