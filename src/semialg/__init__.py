@@ -2,7 +2,7 @@
 
 Subpackages:
     semigroup_core    Apery sets, membership, Frobenius number, genus, witnesses
-    gap_polynomials   f_A(q), reciprocals, the functional equation, the K-polynomial
+    gap_polynomials   f_A(q), the dense functional equation, the K-polynomial
     bivariate_algebra division by x^b - y^a and the monomial-map kernel
     graded_hilbert    denumerants, graded dimensions, Hilbert series, verify's pair checks
     cli               deterministic command-line front end
@@ -19,11 +19,8 @@ from .semigroup_core import (
 )
 from .gap_polynomials import (
     IntPolynomial,
-    g_polynomial,
     gap_polynomial,
     k_polynomial,
-    reciprocal,
-    reciprocal_duality,
     verify_functional_equation,
 )
 from .bivariate_algebra import (

@@ -29,7 +29,7 @@ EXIT_PARSE = 3
 _SLOT = "\0"  # result value _emit writes as the fragment; json.dumps prints it as "\u0000"
 
 
-def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[], list[str]],
+def _emit(args, inputs: dict, result: dict, text_lines: Callable[[], list[str]],
           fragment: Callable[[], list[str]] | None = None) -> int:
     """Print the JSON envelope, or the lines text_lines() builds; it is not called for --json.
 
@@ -38,7 +38,7 @@ def _emit(args, command: str, inputs: dict, result: dict, text_lines: Callable[[
     piece, never built as one string.
     """
     if args.json:
-        text = json.dumps({"command": command, "inputs": inputs, "result": result}, sort_keys=True)
+        text = json.dumps({"command": args.command, "inputs": inputs, "result": result}, sort_keys=True)
         if fragment is None:
             print(text)
         else:
@@ -113,7 +113,7 @@ def _cmd_frobenius(args) -> int:
         return out
 
     gap_array = functools.partial(_gap_array, table) if args.gaps else None
-    return _emit(args, "frobenius", {"generators": args.generators}, result, lines, gap_array)
+    return _emit(args, {"generators": args.generators}, result, lines, gap_array)
 
 
 def _cmd_gaps(args) -> int:
@@ -122,7 +122,7 @@ def _cmd_gaps(args) -> int:
     result = {"generators": list(A.elements), "gaps": _SLOT, "genus": table.genus}
     inputs = {"generators": args.generators}
     gap_array = functools.partial(_gap_array, table)
-    return _emit(args, "gaps", inputs, result, lambda: [_gap_line(table)], gap_array)
+    return _emit(args, inputs, result, lambda: [_gap_line(table)], gap_array)
 
 
 def _poly_pieces(table: sc.SemigroupTable, sep: str, first: str, last: str) -> list[str]:
@@ -140,7 +140,7 @@ def _cmd_gap_poly(args) -> int:
     result = {"generators": list(A.elements), "terms": _SLOT}
     inputs = {"generators": args.generators}
     return _emit(
-        args, "gap-poly", inputs, result,
+        args, inputs, result,
         lambda: ["".join(_poly_pieces(table, " + q^", "q", "")) if table.genus else "0"],
         lambda: _poly_pieces(table, ", 1], [", "[[1", ", 1]]") if table.genus else ["[]"],
     )
@@ -156,13 +156,13 @@ def _cmd_verify(args) -> int:
         pairs, passed = len(verdicts), sum(verdicts)
         result = {"sweep": args.sweep, "pairs": pairs, "passed": passed}
         text = f"{pairs} pairs, {passed} PASS"
-        code = _emit(args, "verify", {"sweep": args.sweep}, result, lambda: [text])
+        code = _emit(args, {"sweep": args.sweep}, result, lambda: [text])
         return code if passed == pairs else 1
     if args.a is None or args.b is None:
         raise ValueError("verify needs a pair a b, or --sweep B")
     checks = gh.pair_checks(args.a, args.b)
     text = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()]
-    code = _emit(args, "verify", {"a": args.a, "b": args.b}, checks, lambda: text)
+    code = _emit(args, {"a": args.a, "b": args.b}, checks, lambda: text)
     return code if all(checks.values()) else 1
 
 
@@ -184,7 +184,7 @@ def _cmd_divide(args) -> int:
     }
     inputs = {"expr": args.expr, "a": args.a, "b": args.b}
     return _emit(
-        args, "divide", inputs, result,
+        args, inputs, result,
         lambda: [f"divisor: {biv.BivariatePolynomial.binomial_xb_minus_ya(args.a, args.b)}",
                  f"quotient: {q}", f"remainder: {r}", _verdict_line(verdicts)],
     )
@@ -197,7 +197,7 @@ def _cmd_kernel(args) -> int:
         "divide": biv.in_kernel(g, args.a, args.b, "divide"),
     }
     inputs = {"expr": args.expr, "a": args.a, "b": args.b}
-    return _emit(args, "kernel", inputs, verdicts, lambda: [_verdict_line(verdicts)])
+    return _emit(args, inputs, verdicts, lambda: [_verdict_line(verdicts)])
 
 
 def _cmd_rank_nullity(args) -> int:
@@ -205,7 +205,7 @@ def _cmd_rank_nullity(args) -> int:
     ok = gh.rank_nullity_failure(args.a, args.b, order) is None
     result = {"a": args.a, "b": args.b, "order": order, "holds": ok}
     text = f"rank_nullity up to n={order}: {'PASS' if ok else 'FAIL'}"
-    code = _emit(args, "rank-nullity", {"a": args.a, "b": args.b, "order": order}, result, lambda: [text])
+    code = _emit(args, {"a": args.a, "b": args.b, "order": order}, result, lambda: [text])
     return code if ok else 1
 
 
@@ -228,20 +228,30 @@ def _cmd_hilbert(args) -> int:
     series = gh.hilbert_series(args.which, a, b, order)
     inputs = {"which": args.which, "a": a, "b": b, "order": order}
     result = {**inputs, "coefficients": list(series.coefficients)}
-    return _emit(args, "hilbert", inputs, result, lambda: [str(series)])
+    return _emit(args, inputs, result, lambda: [str(series)])
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage error is the one line `error: <message>`, exit code 2.
 
     add_subparsers makes each command's parser of the same class. build_parser
-    sets the top-level parser's `commands`, each command's parser by name.
+    sets the top-level parser's `commands`, each command's parser by name, and
+    `signed_expr` on the parsers whose first positional is an expression.
     """
 
     commands: dict[str, _Parser]
+    signed_expr = False
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # argparse takes "-x^3+y^2" for an unknown option: it starts with '-' and holds no blank.
+        # Here a single '-' that does not begin a short option such as -h begins an expression.
+        if (self.signed_expr and arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string[:2] not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 @functools.cache
@@ -257,7 +267,7 @@ def build_parser() -> _Parser:
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command=name)
         return p
 
     p = add("frobenius", _cmd_frobenius, help="Frobenius number, genus, and gap count")
@@ -278,11 +288,13 @@ def build_parser() -> _Parser:
 
     p = add("divide", _cmd_divide, help="divide an expression by x^b - y^a")
     p.add_argument("expr")
+    p.signed_expr = True
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
 
     p = add("kernel", _cmd_kernel, help="kernel membership by both methods")
     p.add_argument("expr")
+    p.signed_expr = True
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
 

@@ -1,10 +1,9 @@
-"""Gap generating polynomials, the K-polynomial, and the two-generator functional equation.
+"""The gap polynomial, the dense two-generator functional equation, and the K-polynomial.
 
-The central objects are f_A(q), whose monomials enumerate the gaps of S(A),
-its reciprocal, the complementary membership polynomial g_A(q), and the
-sparse K-polynomial read off the Apery set. All coefficient arithmetic is
-exact. The dense checks verify_functional_equation and reciprocal_duality
-are kept as library API and as the oracle the K-polynomial is tested against.
+f_A(q) has coefficient 1 at each gap of S(A); verify_functional_equation checks
+its functional equation exactly, with dense IntPolynomial products. verify reads
+its verdicts off the sparse K-polynomial of the Apery set instead, so the dense
+check is library API only.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from itertools import compress, starmap, zip_longest
 from operator import add, sub
 
-from .semigroup_core import COMPLEMENT, GeneratorSet, SemigroupTable, build_table, validate_pair
+from .semigroup_core import GeneratorSet, SemigroupTable, build_table, validate_pair
 
 
 class IntPolynomial:
@@ -38,10 +37,6 @@ class IntPolynomial:
         self.coefficients = tuple(coeffs)
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
@@ -51,9 +46,6 @@ class IntPolynomial:
         if exponent < 0:
             raise ValueError(f"monomial exponent must be nonnegative, got {exponent}")
         return cls((0,) * exponent + (1,))
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntPolynomial):
@@ -80,21 +72,6 @@ class IntPolynomial:
         """Nonzero (exponent, coefficient) pairs, ascending."""
         return list(compress(enumerate(self.coefficients), self.coefficients))
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in self.terms():
-            if i == 0:
-                parts.append(str(c))
-            else:
-                q = "q" if i == 1 else f"q^{i}"
-                parts.append(q if c == 1 else f"{c}*{q}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({self})"
-
 
 Q_MINUS_1 = IntPolynomial((-1, 1))
 
@@ -105,44 +82,12 @@ def gap_polynomial(A: GeneratorSet) -> IntPolynomial:
     return IntPolynomial(table.gap_indicator(table.frobenius))  # F = -1 without gaps: zero
 
 
-def reciprocal(f: IntPolynomial) -> IntPolynomial:
-    """Coefficient reversal q^d * f(1/q) for f of degree d."""
-    if f.is_zero():
-        raise ValueError("reciprocal of the zero polynomial is undefined")
-    return IntPolynomial(reversed(f.coefficients))
-
-
-def g_polynomial(A: GeneratorSet) -> IntPolynomial:
-    """g_A(q) = (1 + q + ... + q^F) - f_A(q): indicator of members up to F(A)."""
-    table = build_table(A)
-    if not table.genus:
-        raise ValueError("g_A is undefined for gap-free semigroups (no Frobenius degree)")
-    return IntPolynomial(table.gap_indicator(table.frobenius).translate(COMPLEMENT))
-
-
-def _cleared_identity(a: int, b: int, g: IntPolynomial) -> bool:
-    """(q^a - 1)(q^b - 1) g == (q - 1)(q^ab - 1), exactly.
-
-    Both forms of the functional equation take this shape, denominators cleared.
-    """
-    one = IntPolynomial.one()
-    lhs = (IntPolynomial.monomial(a) - one) * (IntPolynomial.monomial(b) - one) * g
-    return lhs == Q_MINUS_1 * (IntPolynomial.monomial(a * b) - one)
-
-
 def verify_functional_equation(a: int, b: int) -> bool:
     """Check (q^a - 1)(q^b - 1)((q-1) f_A + 1) == (q-1)(q^ab - 1) exactly."""
     f = gap_polynomial(validate_pair(a, b))
-    return _cleared_identity(a, b, Q_MINUS_1 * f + IntPolynomial.one())
-
-
-def reciprocal_duality(a: int, b: int) -> bool:
-    """Check that reciprocal(f_A) equals g_A and the reciprocal identity holds."""
-    A = validate_pair(a, b)
-    f_hat = reciprocal(gap_polynomial(A))
-    if f_hat != g_polynomial(A):
-        return False
-    return _cleared_identity(a, b, IntPolynomial.monomial(a * b - a - b + 1) - Q_MINUS_1 * f_hat)
+    one = IntPolynomial.one()
+    lhs = (IntPolynomial.monomial(a) - one) * (IntPolynomial.monomial(b) - one) * (Q_MINUS_1 * f + one)
+    return lhs == Q_MINUS_1 * (IntPolynomial.monomial(a * b) - one)
 
 
 def k_polynomial(table: SemigroupTable) -> dict[int, int]:

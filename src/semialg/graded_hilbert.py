@@ -33,15 +33,6 @@ class TruncatedSeries:
             raise ValueError(f"expected {order + 1} coefficients, got {len(self.coefficients)}")
         self.order = order
 
-    @classmethod
-    def geometric(cls, m: int, order: int) -> "TruncatedSeries":
-        """1 / (1 - q^m) truncated: coefficient 1 at multiples of m."""
-        if m < 1:
-            raise ValueError("geometric step must be positive")
-        c = [0] * (order + 1)
-        c[::m] = [1] * (order // m + 1)
-        return cls(order, c)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -178,7 +169,7 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
         if a is not None or b is not None:
             raise ValueError(f"series kind {which!r} takes no pair (a, b)")
         if which == "univariate":
-            return TruncatedSeries.geometric(1, order)
+            return TruncatedSeries(order, (1,) * (order + 1))
         # 1/(1-q)^2 = sum (n+1) q^n
         return TruncatedSeries(order, range(1, order + 2))
     if which not in SERIES_KINDS:

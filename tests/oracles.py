@@ -106,6 +106,28 @@ def sparse_mul(f, g):
     return {n: c for n, c in out.items() if c != 0}
 
 
+def dense_reciprocal_duality(a, b, f=None, g=None):
+    """The reciprocal form of the functional equation of S(a, b), by dense products.
+
+    True when q^F f_A(1/q) equals g_A, the members 0..F as a polynomial, and
+    (q^a - 1)(q^b - 1)(q^(F+1) - (q - 1) q^F f_A(1/q)) == (q - 1)(q^ab - 1), with
+    F = ab - a - b. f_A and g_A are read off naive_members unless given as
+    {degree: coefficient} dicts; f is reversed about its own degree.
+    """
+    member = naive_members((a, b), a * b)
+    F = max(n for n, m in enumerate(member) if not m)
+    f = {n: 1 for n in range(F + 1) if not member[n]} if f is None else f
+    g = {n: 1 for n in range(F + 1) if member[n]} if g is None else g
+    degree = max(f)
+    f_hat = {degree - n: c for n, c in f.items()}
+    if f_hat != g:
+        return False
+    q_minus_1 = {1: 1, 0: -1}
+    inner = sparse_add({a * b - a - b + 1: 1}, {n: -c for n, c in sparse_mul(q_minus_1, f_hat).items()})
+    lhs = sparse_mul(sparse_mul({a: 1, 0: -1}, {b: 1, 0: -1}), inner)
+    return lhs == sparse_mul(q_minus_1, {a * b: 1, 0: -1})
+
+
 class WalkParseError(ValueError):
     """A parse error of walk_parse, with the same text and .column as the library's ParseError."""
 

@@ -14,7 +14,7 @@ from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
 
-from oracles import naive_is_symmetric, naive_members
+from oracles import dense_reciprocal_duality, naive_is_symmetric, naive_members
 
 
 def coprime_pairs(lo, hi):
@@ -44,7 +44,8 @@ def test_criterion_2_functional_equation():
     ok = True
     for a, b in coprime_pairs(2, 40):
         ok &= gp.verify_functional_equation(a, b)
-        ok &= gp.reciprocal_duality(a, b)
+        duality = gh.pair_checks(a, b)["reciprocal_duality"]
+        ok &= duality and duality == dense_reciprocal_duality(a, b)
     report("2 (functional equation + reciprocal duality, pairs up to 40)", ok)
 
 

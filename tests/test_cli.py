@@ -21,6 +21,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def gap_poly_text(gaps):
+    """f_A written as gap-poly prints it: q^n for each gap n, q for the gap 1, and 0 without gaps."""
+    return " + ".join("q" if n == 1 else f"q^{n}" for n in gaps) or "0"
+
+
 class TestFrobeniusCommand:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "frobenius", "3", "5")
@@ -97,10 +102,11 @@ class TestGapsAndGapPoly:
     @pytest.mark.parametrize("gens", [["1"], ["1", "7"], ["2", "3"], ["4", "7", "9"], ["6", "10", "15"]])
     def test_gap_poly_json_matches_dense_polynomial(self, capsys, gens):
         _, out, _ = run(capsys, "gap-poly", *gens, "--json")
-        f = gp.gap_polynomial(sc.validate_generators([int(a) for a in gens]))
+        elements = [int(a) for a in gens]
+        f = gp.gap_polynomial(sc.validate_generators(elements))
         assert json.loads(out)["result"]["terms"] == [[i, c] for i, c in f.terms()]
         _, out, _ = run(capsys, "gap-poly", *gens)
-        assert out == f"{f}\n"
+        assert out == gap_poly_text(naive_gaps(elements, (max(elements) - 1) * sum(elements))) + "\n"
 
 
 class TestGapOutputParity:
@@ -124,7 +130,7 @@ class TestGapOutputParity:
         expected = {
             ("gap-poly",): (
                 self.envelope("gap-poly", gens, {"generators": A.elements, "terms": [[n, 1] for n in gaps]}),
-                f"{f}\n",
+                gap_poly_text(gaps) + "\n",
             ),
             ("gaps",): (
                 self.envelope("gaps", gens, {"generators": A.elements, "gaps": gaps, "genus": g}),
@@ -351,6 +357,29 @@ class TestDivideAndKernel:
         # the grammar's digits and blanks are ASCII: these once read as 3x^2 - y and x^2 + y
         code, out, err = run(capsys, "kernel", expr, "2", "3")
         assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["kernel", "-x^3+y^2", "2", "3"], ["kernel", "--json", "-x^3+y^2", "2", "3"],
+         ["kernel", "-x^3+y^2", "2", "3", "--js"], ["divide", "-x^4", "2", "3"],
+         ["divide", "-x^4", "2", "3", "--json"], ["divide", "-1/2*x^4", "2", "3"]],
+    )
+    def test_dash_led_expression_without_blank_is_the_expression(self, capsys, argv):
+        # argparse alone reads "-x^4" as an unknown option and asks for b; the answer is that after `--`
+        command, *rest = argv
+        options = [arg for arg in rest if arg.startswith("--")]
+        expected = run(capsys, command, *options, "--", *[arg for arg in rest if arg not in options])
+        assert expected[0] == 0
+        assert run(capsys, *argv) == expected
+
+    def test_dash_led_expression_answers(self, capsys):
+        assert run(capsys, "kernel", "-x^3+y^2", "2", "3") == (
+            0, "in_kernel(evaluate)=true in_kernel(divide)=true\n", "")
+        code, out, _ = run(capsys, "divide", "-x^4", "2", "3")
+        assert code == 0
+        assert out.splitlines()[1:3] == ["quotient: -x", "remainder: -x*y^2"]
+        code, out, _ = run(capsys, "divide", "-x^4", "2", "3", "--json")
+        assert json.loads(out)["inputs"] == {"a": 2, "b": 3, "expr": "-x^4"}
 
     def test_numeral_past_the_int_digit_limit_exit_3_one_line(self, capsys):
         code, out, err = run(capsys, "divide", "x^" + "9" * 5000 + " + @", "2", "3")
@@ -628,6 +657,8 @@ class TestParser:
             ["verify"],
             ["divide", "--json", "x^4 - 1/2*x*y", "2", "3"],
             ["divide", "-x^4 + y", "2", "3"],
+            ["divide", "-x^4", "2", "3", "--js"],
+            ["kernel", "--json", "-x^3+y^2", "2", "3"],
             ["kernel", "x^3 - y^2", "--js", "2", "3"],
             ["rank-nullity", "--order=40", "3", "5"],
             ["rank-nullity", "3", "5"],
@@ -637,10 +668,8 @@ class TestParser:
         ],
     )
     def test_command_parser_gives_the_full_parsers_namespace(self, argv):
-        # main reads argv with the command's own parser; the full parser also records `command`
-        full = vars(cli.build_parser().parse_args(argv))
-        assert full.pop("command") == argv[0]
-        assert vars(cli._parse(argv)) == full
+        # main reads argv with the command's own parser, whose defaults also record `command`
+        assert cli._parse(argv) == cli.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -649,6 +678,9 @@ class TestParser:
             (["divide", "x", "2"], "the following arguments are required: b"),
             (["frobenius", "3", "x"], "argument generators: invalid int value: 'x'"),
             (["frobenius", "3", "5", "--bogus"], "unrecognized arguments: --bogus"),
+            (["kernel", "--bogus", "x", "2", "3"], "unrecognized arguments: --bogus"),
+            (["kernel", "-x^3+y^2", "2", "3", "--bogus"], "unrecognized arguments: --bogus"),
+            (["divide", "-hx", "2", "3"], "argument -h/--help: ignored explicit argument 'x'"),
             (["verify", "--sweep"], "argument --sweep: expected one argument"),
             (["bogus", "3", "5"], "argument command: invalid choice: 'bogus'"),
             ([], "the following arguments are required: command"),
@@ -664,7 +696,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, usage",
         [(["-h"], "semialg [-h]"), (["--help"], "semialg [-h]"), (["frobenius", "-h"], "semialg frobenius [-h]"),
-         (["hilbert", "--help"], "semialg hilbert [-h]")],
+         (["hilbert", "--help"], "semialg hilbert [-h]"), (["kernel", "-h"], "semialg kernel [-h]")],
     )
     def test_help_is_unchanged(self, capsys, argv, usage):
         with pytest.raises(SystemExit) as exc:
