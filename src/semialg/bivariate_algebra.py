@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .semigroup_core import check_size
 
@@ -84,19 +84,6 @@ class BivariatePolynomial:
         den = self.den
         return {m: Fraction(c, den) for m, c in self.nums.items()}
 
-    @classmethod
-    def from_terms(cls, triples: Iterable[tuple[int, int, object]]) -> "BivariatePolynomial":
-        terms: dict[tuple[int, int], Fraction] = {}
-        for i, j, c in triples:
-            m = (i, j)
-            terms[m] = terms[m] + c if m in terms else c
-        return cls(terms)
-
-    @classmethod
-    def binomial_xb_minus_ya(cls, a: int, b: int) -> "BivariatePolynomial":
-        """The divisor x^b - y^a."""
-        return cls.from_terms([(b, 0, 1), (0, a, -1)])
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -105,44 +92,20 @@ class BivariatePolynomial:
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        L = math.lcm(self.den, other.den)
-        s, t = L // self.den, L // other.den
-        nums = {m: s * c for m, c in self.nums.items()}
-        for m, c in other.nums.items():
-            nums[m] = nums.get(m, 0) + t * c
-        return BivariatePolynomial._of(L, nums)
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + BivariatePolynomial._of(other.den, {m: -c for m, c in other.nums.items()})
-
-    def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        nums: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.nums.items():
-            for (i2, j2), c2 in other.nums.items():
-                m = (i1 + i2, j1 + j2)
-                nums[m] = nums.get(m, 0) + c1 * c2
-        return BivariatePolynomial._of(self.den * other.den, nums)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        """Terms in lex-descending order (deterministic printing)."""
-        return sorted(self.terms.items(), reverse=True)
-
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
+        """The text form, read off the triples of bivariate_to_json: its only coefficient writer."""
         out = ""
-        for m, c in self.sorted_terms():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if m == (0, 0):
-                body = str(mag)
-            elif mag == 1:
-                body = _monomial_text(*m)
+        for i, j, c in bivariate_to_json(self):
+            text = str(c)
+            sign, mag = ("-", text[1:]) if text[0] == "-" else ("+", text)
+            if i == j == 0:
+                body = mag
+            elif mag == "1":
+                body = _monomial_text(i, j)
             else:
-                body = f"{mag}*{_monomial_text(*m)}"
+                body = f"{mag}*{_monomial_text(i, j)}"
             out += f" {sign} {body}" if out else (f"-{body}" if sign == "-" else body)
-        return out
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self})"

@@ -86,6 +86,8 @@ def _gap_array(table: sc.SemigroupTable) -> list[str]:
 
 def _cmd_frobenius(args) -> int:
     A = sc.validate_generators(args.generators)
+    if args.witness is not None and args.witness < 0:
+        raise ValueError(f"witness must be nonnegative, got {args.witness}")
     table = sc.build_table(A)
     result = {
         "generators": list(A.elements),
@@ -185,7 +187,7 @@ def _cmd_divide(args) -> int:
     inputs = {"expr": args.expr, "a": args.a, "b": args.b}
     return _emit(
         args, inputs, result,
-        lambda: [f"divisor: {biv.BivariatePolynomial.binomial_xb_minus_ya(args.a, args.b)}",
+        lambda: [f"divisor: {biv._monomial_text(args.b, 0)} - {biv._monomial_text(0, args.a)}",
                  f"quotient: {q}", f"remainder: {r}", _verdict_line(verdicts)],
     )
 
@@ -227,7 +229,7 @@ def _cmd_hilbert(args) -> int:
     a, b = _opt_int(args.a, "a"), _opt_int(args.b, "b")
     series = gh.hilbert_series(args.which, a, b, order)
     inputs = {"which": args.which, "a": a, "b": b, "order": order}
-    result = {**inputs, "coefficients": list(series.coefficients)}
+    result = {**inputs, "coefficients": series.coefficients}
     return _emit(args, inputs, result, lambda: [str(series)])
 
 

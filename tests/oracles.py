@@ -90,7 +90,7 @@ def binomial_normal_form(terms, a, b):
 
 
 def sparse_add(f, g):
-    """Sum of two {degree: coefficient} dicts; zero sums are dropped."""
+    """Sum of two {degree: coefficient} dicts, or {(i, j): coefficient} dicts; zero sums are dropped."""
     out = dict(f)
     for n, c in g.items():
         out[n] = out.get(n, 0) + c
@@ -104,6 +104,16 @@ def sparse_mul(f, g):
         for n2, c2 in g.items():
             out[n1 + n2] = out.get(n1 + n2, 0) + c1 * c2
     return {n: c for n, c in out.items() if c != 0}
+
+
+def bivariate_mul(f, g):
+    """Product of two {(i, j): coefficient} dicts by the full double loop; zero sums are dropped."""
+    out = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def dense_reciprocal_duality(a, b, f=None, g=None):

@@ -67,6 +67,18 @@ class TestFrobeniusCommand:
         result = json.loads(out)["result"]
         assert result["gap_count"] == result["genus"] == len(gaps_of(sc.build_table(sc.validate_generators([4, 7, 9]))))
 
+    @pytest.mark.parametrize("witness", ["-1", "-4", "-1000000000000"])
+    def test_negative_witness_exit_2_one_line(self, capsys, witness):
+        for extra in ([], ["--json"], ["--gaps"]):
+            code, out, err = run(capsys, "frobenius", "3", "5", "--witness", witness, *extra)
+            assert (code, out) == (2, "")
+            assert err == f"error: witness must be nonnegative, got {witness}\n"
+
+    def test_negative_witness_after_the_generators(self, capsys):
+        code, _, err = run(capsys, "frobenius", "4", "6", "--witness", "-1")
+        assert code == 2
+        assert "gcd(A)=2, not a numerical semigroup" in err
+
     def test_gaps_and_witness(self, capsys):
         code, out, _ = run(capsys, "frobenius", "3", "5", "--gaps", "--witness", "8")
         assert code == 0
@@ -391,10 +403,20 @@ class TestDivideAndKernel:
         def no_divisor(*args):
             raise AssertionError("the divisor was built")
 
-        monkeypatch.setattr(cli.biv.BivariatePolynomial, "binomial_xb_minus_ya", no_divisor)
+        monkeypatch.setattr(cli.biv, "_monomial_text", no_divisor)
         code, out, _ = run(capsys, "divide", "x^4", "2", "3", "--json")
         assert code == 0
         assert json.loads(out)["result"]["quotient"] == [[1, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "expr, a, b, line",
+        [("x^4", "2", "3", "divisor: x^3 - y^2"), ("x", "3", "1", "divisor: x - y^3"),
+         ("x", "1", "2", "divisor: x^2 - y"), ("x", "11", "10", "divisor: x^10 - y^11")],
+    )
+    def test_divisor_line(self, capsys, expr, a, b, line):
+        code, out, _ = run(capsys, "divide", expr, a, b)
+        assert code == 0
+        assert out.splitlines()[0] == line
 
     @pytest.mark.parametrize(
         "argv, steps",
