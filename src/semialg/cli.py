@@ -34,8 +34,9 @@ def _emit(args, inputs: dict, result: dict, text_lines: Callable[[], list[str]],
     """Print the JSON envelope, or the lines text_lines() builds; it is not called for --json.
 
     With fragment, the one result value equal to _SLOT is written as the JSON
-    text whose pieces fragment() returns: a genus-sized array printed piece by
-    piece, never built as one string.
+    text whose pieces fragment() returns: a genus-sized gap array printed piece
+    by piece, never built as one string, or an order-sized coefficient array
+    that _int_array writes with no Python step per coefficient.
     """
     if args.json:
         text = json.dumps({"command": args.command, "inputs": inputs, "result": result}, sort_keys=True)
@@ -74,6 +75,40 @@ def _gap_pieces(table: sc.SemigroupTable, sep: str) -> list[str]:
         if block:
             pieces.append(prefix + block)
     return pieces
+
+
+@functools.cache
+def _digit_columns() -> tuple[bytes, bytes, bytes]:
+    """Tables from a byte v to the hundreds, tens and ones ASCII digit of v, "\0" for a leading zero."""
+    padded = [str(v).rjust(3, "\0").encode() for v in range(256)]
+    return tuple(bytes(digits[k] for digits in padded) for k in range(3))
+
+
+def _int_array(values: tuple[int, ...]) -> str:
+    """json.dumps(values), byte for byte, for a tuple of ints.
+
+    When every value is in 0..255, bytes(values) holds them and each value is
+    the record ", ddd" of a buffer: three translate tables give its digit
+    columns, written by strided slices, and one translate drops the "\0" of
+    the leading zeros and of the first record's ", ". Otherwise bytes() raises
+    ValueError and one %-format writes the array.
+    """
+    n = len(values)
+    if not n:
+        return "[]"
+    try:
+        octets = bytes(values)
+    except ValueError:
+        return ("[" + "%d, " * (n - 1) + "%d]") % values
+    buf = bytearray(b", \0\0\0") * n
+    buf[:2] = b"\0["
+    buf += b"]"  # in place: `* n + b"]"` would hold two buffers at once
+    for k, table in enumerate(_digit_columns(), 2):
+        buf[k::5] = octets.translate(table)
+    del octets  # each order-sized copy is dropped once the next is made
+    ascii_text = buf.translate(None, b"\0")
+    del buf
+    return ascii_text.decode()
 
 
 def _gap_line(table: sc.SemigroupTable) -> str:
@@ -229,8 +264,8 @@ def _cmd_hilbert(args) -> int:
     a, b = _opt_int(args.a, "a"), _opt_int(args.b, "b")
     series = gh.hilbert_series(args.which, a, b, order)
     inputs = {"which": args.which, "a": a, "b": b, "order": order}
-    result = {**inputs, "coefficients": series.coefficients}
-    return _emit(args, inputs, result, lambda: [str(series)])
+    result = {**inputs, "coefficients": _SLOT}
+    return _emit(args, inputs, result, lambda: [str(series)], lambda: [_int_array(series.coefficients)])
 
 
 class _Parser(argparse.ArgumentParser):

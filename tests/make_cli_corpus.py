@@ -188,6 +188,13 @@ def commands():
                         ("1", "5", "4"), ("3", "5", "-1"), ("x", "5", "4"), ("3", "5.0", "4")]:
             yield ["hilbert", kind, a, b, n], None
         yield ["hilbert", kind, "3", "5"], None
+    # successful --json arrays of univariate and full_ring_degree, and coefficients past 255
+    for n in ("1", "300"):
+        yield ["hilbert", "univariate", "-", "-", n, "--json"], None
+    for n in ("254", "255", "256", "300"):
+        yield ["hilbert", "full_ring_degree", "-", "-", n, "--json"], None
+    yield ["hilbert", "full_ring_frobenius", "2", "3", "1600", "--json"], None
+    yield ["hilbert", "semigroup_ring", "3", "5", "2000", "--json"], None
 
 
 def build() -> list[dict]:

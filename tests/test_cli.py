@@ -510,6 +510,24 @@ class TestHilbertCommand:
         assert out == ""
         assert err == "error: weight b must be an integer or '-', got 'x'\n"
 
+    # every kind, at orders whose coefficients stay in 0..255 and orders that pass it
+    @pytest.mark.parametrize(
+        "which, a, b, order",
+        [("univariate", None, None, 0), ("univariate", None, None, 300),
+         ("full_ring_degree", None, None, 254), ("full_ring_degree", None, None, 300),
+         ("semigroup_ring", 3, 5, 0), ("semigroup_ring", 3, 5, 300),
+         ("full_ring_frobenius", 3, 5, 60), ("full_ring_frobenius", 2, 3, 1600),
+         ("kernel", 3, 5, 60), ("kernel", 2, 3, 1600)],
+    )
+    def test_json_byte_identical(self, capsys, which, a, b, order):
+        inputs = {"which": which, "a": a, "b": b, "order": order}
+        coefficients = list(gh.hilbert_series(which, a, b, order).coefficients)
+        envelope = {"command": "hilbert", "inputs": inputs, "result": {**inputs, "coefficients": coefficients}}
+        argv = ["-" if w is None else str(w) for w in (a, b)]
+        assert run(capsys, "hilbert", which, *argv, str(order), "--json") == (
+            0, json.dumps(envelope, sort_keys=True) + "\n", ""
+        )
+
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, "hilbert", "kernel", "3", "5", "25", "--json")
         payload = json.loads(out)
@@ -643,6 +661,43 @@ class TestRankNullityCommand:
         assert run(capsys, "rank-nullity", "3", "5", "--order", "45")[0] == 0
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "18")  # verify 3 5 needs only its table of 18 cells
         assert run(capsys, "verify", "3", "5")[0] == 0
+
+
+# one value range per drawn tuple, so that both writer paths run: the bytes columns
+# (every value in 0..255) and the %-format (any other value)
+INT_ARRAYS = st.one_of(
+    *(st.lists(values, max_size=300).map(tuple) for values in (
+        st.integers(0, 9), st.integers(0, 255), st.integers(250, 260), st.integers(0, 10**6),
+        st.integers(-300, 300), st.integers(0, 255) | st.just(10**30),
+    ))
+)
+
+
+class TestIntArray:
+    """The coefficient array writer equals json.dumps byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(INT_ARRAYS)
+    def test_matches_json_dumps(self, values):
+        assert cli._int_array(values) == json.dumps(values)
+
+    # the digit-width edges 9/10, 99/100 and 255/256, in both orders, and every byte
+    @pytest.mark.parametrize(
+        "values",
+        [(), (0,), (9, 10), (10, 9), (99, 100), (100, 99), (255, 256), (256, 255), (0, 255, 0),
+         (-1, 0), (10**30,), tuple(range(256)), tuple(range(255, -1, -1)), tuple(range(250, 261))],
+    )
+    def test_width_edges(self, values):
+        assert cli._int_array(values) == json.dumps(values)
+
+    def test_import_builds_no_table(self):
+        src = os.path.dirname(os.path.dirname(semialg.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import semialg.cli as cli; "
+            "print(cli._digit_columns.cache_info().currsize)"
+        )
+        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
 
 
 class TestParser:
