@@ -14,7 +14,6 @@ from .semigroup_core import (
     SemigroupTable,
     build_table,
     conductor_bound,
-    is_symmetric,
     validate_generators,
 )
 from .gap_polynomials import (

@@ -14,7 +14,7 @@ import math
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
-from .semigroup_core import check_size
+from .semigroup_core import check_size, validate_pair
 
 if TYPE_CHECKING:  # fractions is imported only where a Fraction is built or checked
     from fractions import Fraction
@@ -116,20 +116,6 @@ class DivisionResult(NamedTuple):
     remainder: BivariatePolynomial
 
 
-def check_weights(a: int, b: int) -> None:
-    """Weights of the ring map x -> t^a, y -> t^b: positive, distinct and coprime.
-
-    Unlike semigroup_core.validate_pair, a weight of 1 is allowed: the kernel
-    of x -> t, y -> t^b is still the principal ideal of x^b - y.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("exponent weights must be positive")
-    if a == b:
-        raise ValueError(f"weights must be distinct, got a = b = {a}")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
-
-
 def check_division_steps(g: BivariatePolynomial, b: int) -> int:
     """The steps of a division of g by x^b - y^a, refused past SEMIGROUP_MAX_BOUND.
 
@@ -170,7 +156,7 @@ def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
     numerator can be as long as g.den, ceil(den.bit_length() / 64) words. With
     den = 1 the two measures are equal, so only a denominator adds a refusal.
     """
-    check_weights(a, b)
+    validate_pair(a, b)
     steps = check_division_steps(g, b)
     check_size("quotient", steps * -(-g.den.bit_length() // 64), "numerator words")
     q: dict[tuple[int, int], int] = {}
@@ -200,7 +186,7 @@ def phi_evaluate(g: BivariatePolynomial, a: int, b: int) -> dict[int, Fraction]:
     numerator over g.den.
     """
     from fractions import Fraction
-    check_weights(a, b)
+    validate_pair(a, b)
     return {k: Fraction(c, g.den) for k, c in _image_sums(g, a, b).items() if c}
 
 
@@ -210,7 +196,7 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
     The two methods agree on every input: the kernel is exactly the
     principal ideal of x^b - y^a.
     """
-    check_weights(a, b)
+    validate_pair(a, b)
     if method == "evaluate":
         return not any(_image_sums(g, a, b).values())
     if method == "divide":

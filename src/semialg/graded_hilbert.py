@@ -133,9 +133,10 @@ def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
 
     Read as power series, that is where H_E - q^ab H_E = H_R = 1/(1-q) - f_A(q) first fails.
     """
+    pair = validate_pair(a, b)  # first: a bad pair also makes a bad default order, 3ab
     if nmax < 0:
         raise ValueError("truncation order must be nonnegative")
-    n = _first_failure(build_table(validate_pair(a, b)))
+    n = _first_failure(build_table(pair))
     return n if n is not None and n <= nmax else None
 
 

@@ -106,16 +106,14 @@ def validate_generators(raw: list[int]) -> GeneratorSet:
 
 
 def validate_pair(a: int, b: int) -> GeneratorSet:
-    """{a, b} for the two-generator identities: distinct, both at least 2, coprime.
+    """{a, b} as a GeneratorSet: the one pair rule, distinct relatively prime positive integers.
 
-    A generator 1 leaves S(A) without gaps, so f_A is zero and has no degree.
+    verify, rank-nullity, hilbert, and the weights of x -> t^a, y -> t^b in
+    divide and kernel all check their pair here. A 1 is admissible: S(1, b)
+    has no gaps, so F = -1 and g = 0.
     """
     if a == b:
         raise ValueError(f"pair must be distinct, got a = b = {a}")
-    if a < 2 or b < 2:
-        raise ValueError("both pair members must be at least 2")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
     return validate_generators([a, b])
 
 
@@ -166,17 +164,6 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
         genus=(sum(apery) - a1 * (a1 - 1) // 2) // a1,
         via=tuple(via),
     )
-
-
-def is_symmetric(A: GeneratorSet) -> bool:
-    """True iff n not in S(A) implies F(A) - n in S(A).
-
-    n -> F - n maps the members below F into the gaps, so F + 1 - g <= g, with
-    equality iff S(A) is symmetric (Rosales & Garcia-Sanchez, Numerical
-    Semigroups, 2009). Gap-free semigroups are symmetric by vacuity: g = 0, F = -1.
-    """
-    table = build_table(A)
-    return 2 * table.genus == table.frobenius + 1
 
 
 def represent_from_table(n: int, table: SemigroupTable) -> tuple[int, ...] | None:

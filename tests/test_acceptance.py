@@ -52,9 +52,11 @@ def test_criterion_2_functional_equation():
 def test_criterion_3_symmetry():
     ok = True
     for a, b in coprime_pairs(2, 40):
-        ok &= sc.is_symmetric(sc.validate_generators([a, b]))
+        table = sc.build_table(sc.validate_generators([a, b]))
+        ok &= 2 * table.genus == table.frobenius + 1
         ok &= naive_is_symmetric((a, b))
-    ok &= not sc.is_symmetric(sc.validate_generators([3, 4, 5]))
+    table = sc.build_table(sc.validate_generators([3, 4, 5]))
+    ok &= 2 * table.genus != table.frobenius + 1
     ok &= not naive_is_symmetric((3, 4, 5))
     report("3 (two-generator symmetry against brute force; {3,4,5} is not symmetric)", ok)
 

@@ -320,10 +320,10 @@ class TestDivideAndKernel:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["divide", "x", "0", "0"], "exponent weights must be positive"),
-            (["divide", "x", "-2", "1"], "exponent weights must be positive"),
-            (["divide", "x", "2", "4"], "gcd(2,4) = 2 != 1"),
-            (["kernel", "x", "3", "3"], "weights must be distinct, got a = b = 3"),
+            (["divide", "x", "0", "0"], "pair must be distinct, got a = b = 0"),
+            (["divide", "x", "-2", "1"], "generators must be positive, got -2"),
+            (["divide", "x", "2", "4"], "gcd(A)=2, not a numerical semigroup"),
+            (["kernel", "x", "3", "3"], "pair must be distinct, got a = b = 3"),
         ],
     )
     def test_bad_weights_exit_2_one_line(self, capsys, argv, message):
@@ -452,6 +452,47 @@ class TestDivideAndKernel:
         assert code == 2
         assert out == ""
         assert err == "error: SEMIGROUP_MAX_BOUND must be an integer, got 'abc'\n"
+
+
+# the argv before and after the pair a b of each command that takes one
+PAIR_COMMANDS = {
+    "verify": (["verify"], []),
+    "rank-nullity": (["rank-nullity"], []),
+    "hilbert full_ring_frobenius": (["hilbert", "full_ring_frobenius"], ["4"]),
+    "hilbert semigroup_ring": (["hilbert", "semigroup_ring"], ["4"]),
+    "hilbert kernel": (["hilbert", "kernel"], ["4"]),
+    "divide": (["divide", "x^4"], []),
+    "kernel": (["kernel", "x^4"], []),
+}
+
+
+def pair_argv(command, a, b):
+    before, after = PAIR_COMMANDS[command]
+    return [*before, a, b, *after]
+
+
+class TestOnePairRule:
+    """Every command that takes a pair reads it through validate_pair: one line for one bad pair."""
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("3", "3", "pair must be distinct, got a = b = 3"),
+            ("0", "5", "generators must be positive, got 0"),
+            ("-2", "3", "generators must be positive, got -2"),
+            ("4", "6", "gcd(A)=2, not a numerical semigroup"),
+        ],
+    )
+    def test_bad_pair_exit_2_one_line(self, capsys, command, a, b, message):
+        assert run(capsys, *pair_argv(command, a, b)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    @pytest.mark.parametrize("a, b", [("1", "5"), ("5", "1")])
+    def test_weight_one_answers(self, capsys, command, a, b):
+        code, out, err = run(capsys, *pair_argv(command, a, b))
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestHilbertCommand:

@@ -127,9 +127,10 @@ class TestFunctionalEquation:
         with pytest.raises(ValueError):
             gp.verify_functional_equation(3, 3)
 
-    def test_one_rejected(self):
-        with pytest.raises(ValueError):
-            gp.verify_functional_equation(1, 5)
+    def test_one_admitted(self):
+        # S(1, b) has no gaps: f_A = 0 and both sides are (q - 1)(q^b - 1)
+        assert gp.verify_functional_equation(1, 5)
+        assert gp.verify_functional_equation(5, 1)
 
     def test_sweep_to_40(self):
         for a in range(2, 41):

@@ -6,7 +6,7 @@ from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
 
-from oracles import dense_reciprocal_duality, naive_members, naive_partition_count
+from oracles import dense_reciprocal_duality, naive_members, naive_partition_count, sparse_mul
 
 TS = gh.TruncatedSeries
 
@@ -140,6 +140,11 @@ class TestRankNullity:
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
             gh.rank_nullity_failure(3, 5, nmax)
 
+    def test_bad_pair_refused_before_the_order(self):
+        # rank-nullity's default order 3ab is negative for a negative weight: the pair is the fault
+        with pytest.raises(ValueError, match=r"^generators must be positive, got -2$"):
+            gh.rank_nullity_failure(-2, 3, -18)
+
     def test_order_past_any_table_answers(self):
         # one table of 4,002,002 cells, whatever the order: no denumerant or indicator of 10^12 entries
         assert gh.rank_nullity_failure(2000, 2001, 10**12) is None
@@ -210,6 +215,34 @@ class TestHilbertSeries:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             gh.hilbert_series("semigroup_ring", 4, 6, 10)
+
+
+class TestWeightOne:
+    """A pair with a 1 against the oracles: S(1, b) is every n >= 0, so F = -1, g = 0,
+    H_R = 1/(1 - q) and K = H_R (1 - q)(1 - q^b) = 1 - q^b."""
+
+    @pytest.mark.parametrize("b", range(2, 40))
+    def test_against_the_oracles(self, b):
+        order = 3 * b
+        member = naive_members((1, b), order)
+        gaps = [n for n, m in enumerate(member) if not m]
+        ring = {n: 1 for n, m in enumerate(member) if m}
+        product = sparse_mul(sparse_mul(ring, {0: 1, 1: -1}), {0: 1, b: -1})
+        k = {n: c for n, c in product.items() if n <= order}  # the truncation of H_R shows past order
+        full = tuple(naive_partition_count(1, b, n) for n in range(order + 1))
+        kernel = (0,) * b + full[: order + 1 - b]
+        assert tuple(ring.values()) == (1,) * (order + 1)
+        for a, c in [(1, b), (b, 1)]:
+            table = sc.build_table(sc.validate_pair(a, c))
+            assert (table.frobenius, table.genus) == (max(gaps, default=-1), len(gaps)) == (-1, 0)
+            assert gp.k_polynomial(table) == k == {0: 1, b: -1}
+            assert gh.hilbert_series("semigroup_ring", a, c, order).coefficients == tuple(ring.values())
+            assert gh.hilbert_series("full_ring_frobenius", a, c, order).coefficients == full
+            assert gh.hilbert_series("kernel", a, c, order).coefficients == kernel
+            assert gh.graded_dims(a, c, order) == (full, tuple(ring.values()), kernel)
+            assert all(gh.pair_checks(a, c).values())
+            assert gh.rank_nullity_failure(a, c, 10 * b) is None
+            assert gp.verify_functional_equation(a, c)
 
 
 class TestEulerProduct:

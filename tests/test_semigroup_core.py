@@ -44,15 +44,25 @@ class TestValidatePair:
         "a, b, message",
         [
             (3, 3, "pair must be distinct, got a = b = 3"),
-            (1, 5, "both pair members must be at least 2"),
-            (0, 5, "both pair members must be at least 2"),
-            (4, 6, "gcd(4,6) = 2 != 1"),
+            (0, 5, "generators must be positive, got 0"),
+            (-2, 3, "generators must be positive, got -2"),
+            (3, -2, "generators must be positive, got -2"),
+            (4, 6, "gcd(A)=2, not a numerical semigroup"),
         ],
     )
     def test_rejected(self, a, b, message):
         with pytest.raises(ValueError) as info:
             sc.validate_pair(a, b)
         assert str(info.value) == message
+
+    def test_common_factor_is_not_a_numerical_semigroup(self):
+        with pytest.raises(sc.NotNumericalSemigroupError) as info:
+            sc.validate_pair(6, 9)
+        assert info.value.gcd == 3
+
+    @pytest.mark.parametrize("a, b", [(1, 5), (5, 1), (1, 2)])
+    def test_one_admitted(self, a, b):
+        assert sc.validate_pair(a, b) == sc.validate_generators([1, max(a, b)])
 
 
 class TestConductorBound:
@@ -210,19 +220,26 @@ class TestFrobeniusGenus:
         assert sc.build_table(gens(3, 4, 5)).genus == 2
 
 
+def symmetric(*elements):
+    """2g = F + 1, the closed form of symmetry over the table (Rosales & Garcia-Sanchez,
+    Numerical Semigroups, 2009): n -> F - n maps the members below F into the gaps."""
+    table = sc.build_table(gens(*elements))
+    return 2 * table.genus == table.frobenius + 1
+
+
 class TestSymmetry:
     def test_examples(self):
-        assert sc.is_symmetric(gens(3, 5))
-        assert not sc.is_symmetric(gens(3, 4, 5))
-        assert sc.is_symmetric(gens(2, 3))
+        assert symmetric(3, 5)
+        assert not symmetric(3, 4, 5)
+        assert symmetric(2, 3)
 
     def test_gap_free_vacuous(self):
-        assert sc.is_symmetric(gens(1))
-        assert sc.is_symmetric(gens(1, 7))
+        assert symmetric(1)
+        assert symmetric(1, 7)
 
     def test_equality_with_genus_bound(self):
         for elements in [(3, 5), (3, 4, 5), (4, 7, 9), (5, 7, 11), (2, 3), (4, 5, 6), (6, 7, 8, 9), (1, 7)]:
-            assert sc.is_symmetric(gens(*elements)) == naive_is_symmetric(elements)
+            assert symmetric(*elements) == naive_is_symmetric(elements)
 
 
 class TestRecords:
