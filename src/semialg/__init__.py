@@ -2,9 +2,9 @@
 
 Subpackages:
     semigroup_core    Apery sets, membership, Frobenius number, genus, witnesses
-    gap_polynomials   f_A(q), the dense functional equation, the K-polynomial
-    bivariate_algebra division by x^b - y^a and the monomial-map kernel
-    graded_hilbert    denumerants, graded dimensions, Hilbert series, verify's pair checks
+    gap_polynomials   f_A(q) and the dense functional equation, library API only
+    bivariate_algebra division by x^b - y^a (the one division cap) and the monomial-map kernel
+    graded_hilbert    denumerants, graded dimensions, Hilbert series, the K-polynomial, verify's pair checks
     cli               deterministic command-line front end
 """
 
@@ -19,7 +19,6 @@ from .semigroup_core import (
 from .gap_polynomials import (
     IntPolynomial,
     gap_polynomial,
-    k_polynomial,
     verify_functional_equation,
 )
 from .bivariate_algebra import (
@@ -34,6 +33,7 @@ from .graded_hilbert import (
     TruncatedSeries,
     graded_dims,
     hilbert_series,
+    k_polynomial,
     pair_checks,
     partition_count,
     rank_nullity_failure,

@@ -116,17 +116,6 @@ class DivisionResult(NamedTuple):
     remainder: BivariatePolynomial
 
 
-def check_division_steps(g: BivariatePolynomial, b: int) -> int:
-    """The steps of a division of g by x^b - y^a, refused past SEMIGROUP_MAX_BOUND.
-
-    A term x^i y^j adds floor(i / b) terms to the quotient sum, so the sum
-    over the terms of g counts the steps and bounds the quotient's size.
-    """
-    steps = sum(i // b for i, _ in g.nums)
-    check_size("division", steps, "steps")
-    return steps
-
-
 def _remainder_numerators(g: BivariatePolynomial, a: int, b: int) -> dict[tuple[int, int], int]:
     """g.den times the remainder of g modulo x^b - y^a, by (i, j); zero sums are kept.
 
@@ -151,13 +140,14 @@ def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
 
     The sums run over the int numerators of g, and the quotient and the
     remainder keep its denominator, g.den, until they are put in canonical
-    form. Before any work, SEMIGROUP_MAX_BOUND caps the quotient steps, the
-    sum of floor(i / b), and then the quotient's numerator words: each step's
-    numerator can be as long as g.den, ceil(den.bit_length() / 64) words. With
-    den = 1 the two measures are equal, so only a denominator adds a refusal.
+    form. Before any work, SEMIGROUP_MAX_BOUND caps the quotient's numerator
+    words: each of its steps, the sum of floor(i / b), adds a numerator as
+    long as g.den, ceil(den.bit_length() / 64) words, one when den = 1. The
+    quotient is the one part that grows with the exponents, so this is the
+    one division cap.
     """
     validate_pair(a, b)
-    steps = check_division_steps(g, b)
+    steps = sum(i // b for i, _ in g.nums)
     check_size("quotient", steps * -(-g.den.bit_length() // 64), "numerator words")
     q: dict[tuple[int, int], int] = {}
     for (i, j), c in g.nums.items():
@@ -194,13 +184,13 @@ def in_kernel(g: BivariatePolynomial, a: int, b: int, method: str = "evaluate") 
     """Membership in the kernel ideal, by direct evaluation or by division.
 
     The two methods agree on every input: the kernel is exactly the
-    principal ideal of x^b - y^a.
+    principal ideal of x^b - y^a. Each is one pass over the terms of g, with
+    no quotient built, so neither is capped and both answer at any degree.
     """
     validate_pair(a, b)
     if method == "evaluate":
         return not any(_image_sums(g, a, b).values())
     if method == "divide":
-        check_division_steps(g, b)
         return not any(_remainder_numerators(g, a, b).values())
     raise ValueError(f"unknown method {method!r} (expected 'evaluate' or 'divide')")
 

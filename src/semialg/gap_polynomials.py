@@ -1,9 +1,9 @@
-"""The gap polynomial, the dense two-generator functional equation, and the K-polynomial.
+"""The gap polynomial and the dense two-generator functional equation.
 
 f_A(q) has coefficient 1 at each gap of S(A); verify_functional_equation checks
 its functional equation exactly, with dense IntPolynomial products. verify reads
-its verdicts off the sparse K-polynomial of the Apery set instead, so the dense
-check is library API only.
+its verdicts off the sparse K-polynomial of graded_hilbert instead, so no command
+reads this module: it is library API only.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import compress, starmap, zip_longest
 from operator import add, sub
 
-from .semigroup_core import GeneratorSet, SemigroupTable, build_table, validate_pair
+from .semigroup_core import GeneratorSet, build_table, validate_pair
 
 
 class IntPolynomial:
@@ -88,24 +88,3 @@ def verify_functional_equation(a: int, b: int) -> bool:
     one = IntPolynomial.one()
     lhs = (IntPolynomial.monomial(a) - one) * (IntPolynomial.monomial(b) - one) * (Q_MINUS_1 * f + one)
     return lhs == Q_MINUS_1 * (IntPolynomial.monomial(a * b) - one)
-
-
-def k_polynomial(table: SemigroupTable) -> dict[int, int]:
-    """K(q) = N(q) * prod_{i>=2} (1 - q^{a_i}) as {exponent: nonzero coefficient}.
-
-    N(q) = sum of q^w over the Apery set, so H_R(q) = N(q) / (1 - q^{a1}) and
-    K is the numerator of H_R over prod (1 - q^{a_i}): F = max(K) - sum(A).
-    For a pair it is 1 - q^ab, the exact sequence 0 -> E(-ab) -> E -> R -> 0.
-    One dict pass per generator after the first; at most 2^(k-1) * a1 terms.
-    """
-    terms = dict.fromkeys(table.apery, 1)  # distinct residues mod a1, so distinct exponents
-    for a in table.generators.elements[1:]:
-        product = dict(terms)  # terms * (1 - q^a)
-        for e, c in terms.items():
-            d = product.get(e + a, 0) - c
-            if d:
-                product[e + a] = d
-            else:
-                del product[e + a]
-        terms = product
-    return terms

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .gap_polynomials import k_polynomial
 from .semigroup_core import COMPLEMENT, SemigroupTable, build_table, check_size, validate_pair
 
 SERIES_KINDS = (
@@ -138,6 +137,27 @@ def rank_nullity_failure(a: int, b: int, nmax: int) -> int | None:
         raise ValueError("truncation order must be nonnegative")
     n = _first_failure(build_table(pair))
     return n if n is not None and n <= nmax else None
+
+
+def k_polynomial(table: SemigroupTable) -> dict[int, int]:
+    """K(q) = N(q) * prod_{i>=2} (1 - q^{a_i}) as {exponent: nonzero coefficient}.
+
+    N(q) = sum of q^w over the Apery set, so H_R(q) = N(q) / (1 - q^{a1}) and
+    K is the numerator of H_R over prod (1 - q^{a_i}): F = max(K) - sum(A).
+    For a pair it is 1 - q^ab, the exact sequence 0 -> E(-ab) -> E -> R -> 0.
+    One dict pass per generator after the first; at most 2^(k-1) * a1 terms.
+    """
+    terms = dict.fromkeys(table.apery, 1)  # distinct residues mod a1, so distinct exponents
+    for a in table.generators.elements[1:]:
+        product = dict(terms)  # terms * (1 - q^a)
+        for e, c in terms.items():
+            d = product.get(e + a, 0) - c
+            if d:
+                product[e + a] = d
+            else:
+                del product[e + a]
+        terms = product
+    return terms
 
 
 def pair_checks(a: int, b: int) -> dict[str, bool]:

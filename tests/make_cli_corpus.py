@@ -157,6 +157,12 @@ def commands():
     for a, b in [(0, 0), (-2, 1), (2, 2), (4, 6), (0, 3)]:
         yield ["divide", "x^4", str(a), str(b)], None
         yield ["kernel", "x^4", str(a), str(b)], None
+    # the division cap: a member of degree 10^12, and 100 and 101 quotient words under a cap of
+    # 100 (x^270*y - x^30 has 90 + 10), then a cap that is not an integer
+    for expr, cap in [("x^3000000000000 - y^2000000000000", None), ("x^270*y - x^30", "100"),
+                      ("x^273*y - x^30", "100"), ("x^3 - y^2", "abc")]:
+        yield ["divide", expr, "2", "3"], cap
+        yield ["kernel", expr, "2", "3"], cap
 
     for a, b in _coprime_pairs(7, 9):
         yield ["rank-nullity", str(a), str(b)], None

@@ -122,13 +122,14 @@ def dense_reciprocal_duality(a, b, f=None, g=None):
     True when q^F f_A(1/q) equals g_A, the members 0..F as a polynomial, and
     (q^a - 1)(q^b - 1)(q^(F+1) - (q - 1) q^F f_A(1/q)) == (q - 1)(q^ab - 1), with
     F = ab - a - b. f_A and g_A are read off naive_members unless given as
-    {degree: coefficient} dicts; f is reversed about its own degree.
+    {degree: coefficient} dicts; f is reversed about its own degree. With a
+    weight of 1 there is no gap: F = -1, and f_A and g_A are both zero.
     """
     member = naive_members((a, b), a * b)
-    F = max(n for n, m in enumerate(member) if not m)
+    F = max((n for n, m in enumerate(member) if not m), default=-1)
     f = {n: 1 for n in range(F + 1) if not member[n]} if f is None else f
     g = {n: 1 for n in range(F + 1) if member[n]} if g is None else g
-    degree = max(f)
+    degree = max(f, default=0)
     f_hat = {degree - n: c for n, c in f.items()}
     if f_hat != g:
         return False

@@ -191,7 +191,7 @@ class TestDivide:
 
 
 class TestDivisionStepCap:
-    """divide counts its quotient steps, then their numerator words, against SEMIGROUP_MAX_BOUND before any work."""
+    """divide caps its quotient's numerator words, steps times den's words, at SEMIGROUP_MAX_BOUND before any work."""
 
     @pytest.mark.parametrize(
         "a, b", [(2, 3), (2, 5), (3, 2)], ids=["x^3 - y^2", "x^5 - y^2", "x^2 - y^3"]
@@ -202,13 +202,13 @@ class TestDivisionStepCap:
         q, r = biv.divide(g, a, b)
         assert len(q.terms) == 100
         assert rebuilt(q, r, a, b) == g.terms
-        refusal = "division of 101 steps exceeds SEMIGROUP_MAX_BOUND=100"
+        refusal = "quotient of 101 numerator words exceeds SEMIGROUP_MAX_BOUND=100"
         with pytest.raises(BoundTooLargeError, match=refusal):
             biv.divide(bp((101 * b, 0, 1)), a, b)
 
     def test_huge_exponent_refused_at_once(self, monkeypatch):
         monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
-        refusal = "division of 1000000000000 steps exceeds SEMIGROUP_MAX_BOUND=10000000"
+        refusal = "quotient of 1000000000000 numerator words exceeds SEMIGROUP_MAX_BOUND=10000000"
         with pytest.raises(BoundTooLargeError, match=refusal):
             biv.divide(bp((3 * 10**12, 0, 1)), 2, 3)
 
@@ -377,7 +377,6 @@ class TestCommonDenominator:
         text = str(member)  # the text form reads the JSON triples: no Fraction either
         g = biv.parse_bivariate(text)
         assert g == member
-        biv.check_division_steps(g, b)
         q, r = biv.divide(g, a, b)
         assert q == h and r.is_zero()
         assert len(biv.bivariate_to_json(q)) == 100 and biv.bivariate_to_json(r) == []
@@ -512,18 +511,26 @@ class TestInKernel:
         g = biv.parse_bivariate("x^3000000000000 - y^2000000000000")
         assert biv.in_kernel(g, 2, 3, "evaluate")
 
-    def test_huge_exponent_division_refused(self):
+    def test_huge_exponent_division_answers(self, monkeypatch):
+        # the division route reads only the remainder, one pass over the terms: no cap at any degree
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
         g = biv.parse_bivariate("x^3000000000000 - y^2000000000000")
-        with pytest.raises(BoundTooLargeError, match="division of 1000000000000 steps exceeds"):
-            biv.in_kernel(g, 2, 3, "divide")
+        assert biv.in_kernel(g, 2, 3, "divide") is True
+        assert biv.in_kernel(g, 2, 3, "divide") == biv.in_kernel(g, 2, 3, "evaluate")
+        g = biv.parse_bivariate("x^1000000000000 - y^3")
+        assert biv.in_kernel(g, 2, 3, "divide") is False
+        assert biv.in_kernel(g, 2, 3, "divide") == biv.in_kernel(g, 2, 3, "evaluate")
 
     def test_division_steps_are_summed_over_terms(self, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "7")
         g = bp((8, 5, 1), (5, 0, 2), (2, 9, 1))  # 4 + 2 + 1 steps by x^2 - y^a
-        biv.check_division_steps(g, 2)
+        q, r = biv.divide(g, 3, 2)
+        assert rebuilt(q, r, 3, 2) == g.terms
         assert biv.in_kernel(g, 3, 2, "divide") == biv.in_kernel(g, 3, 2, "evaluate")
-        with pytest.raises(BoundTooLargeError, match="division of 8 steps exceeds SEMIGROUP_MAX_BOUND=7"):
-            biv.check_division_steps(bp((8, 5, 1), (5, 0, 2), (2, 9, 1), (3, 0, 1)), 2)
+        over = bp((8, 5, 1), (5, 0, 2), (2, 9, 1), (3, 0, 1))
+        with pytest.raises(BoundTooLargeError, match="quotient of 8 numerator words exceeds SEMIGROUP_MAX_BOUND=7"):
+            biv.divide(over, 3, 2)
+        assert biv.in_kernel(over, 3, 2, "divide") == biv.in_kernel(over, 3, 2, "evaluate")
 
     def test_weight_one_allowed(self):
         for method in ("evaluate", "divide"):

@@ -419,39 +419,54 @@ class TestDivideAndKernel:
         assert out.splitlines()[0] == line
 
     @pytest.mark.parametrize(
-        "argv, steps",
+        "argv, code, out, err",
         [
-            # x^i takes floor(i / b) quotient steps
-            (["kernel", "x^1000000000000", "2", "3"], 333333333333),
-            (["divide", "x^100000000", "2", "3"], 33333333),
-            (["divide", "x^100000000 + x^2*y", "2", "3", "--json"], 33333333),
+            # kernel reads only the remainder; divide's x^i adds floor(i / b) quotient words
+            (["kernel", "x^1000000000000", "2", "3"], 0, "in_kernel(evaluate)=false in_kernel(divide)=false\n", ""),
+            (["divide", "x^100000000", "2", "3"], 2, "",
+             "error: quotient of 33333333 numerator words exceeds SEMIGROUP_MAX_BOUND=10000000\n"),
+            (["divide", "x^100000000 + x^2*y", "2", "3", "--json"], 2, "",
+             "error: quotient of 33333333 numerator words exceeds SEMIGROUP_MAX_BOUND=10000000\n"),
+            # a member of degree 10^12: both terms map to t^(6 * 10^12)
+            (["kernel", "x^3000000000000 - y^2000000000000", "2", "3"], 0,
+             "in_kernel(evaluate)=true in_kernel(divide)=true\n", ""),
         ],
+        ids=["kernel", "divide", "divide-json", "kernel-member"],
     )
-    def test_long_division_exit_2_one_line(self, capsys, argv, steps):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: division of {steps} steps exceeds SEMIGROUP_MAX_BOUND=10000000\n"
+    def test_long_division_exit_2_one_line(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.delenv("SEMIGROUP_MAX_BOUND", raising=False)
+        assert run(capsys, *argv) == (code, out, err)
 
-    @pytest.mark.parametrize("command", ["divide", "kernel"])
-    def test_division_at_cap_answers(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "command, over",
+        [
+            ("divide", (2, "", "error: quotient of 101 numerator words exceeds SEMIGROUP_MAX_BOUND=100\n")),
+            # kernel builds no quotient, so it answers past the cap too
+            ("kernel", (0, "in_kernel(evaluate)=false in_kernel(divide)=false\n", "")),
+        ],
+        ids=["divide", "kernel"],
+    )
+    def test_division_at_cap_answers(self, capsys, monkeypatch, command, over):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "100")
-        # 90 + 10 steps: exactly at the cap
+        # 90 + 10 quotient words: exactly at the cap
         code, out, _ = run(capsys, command, "x^270*y - x^30", "2", "3")
         assert code == 0
         assert "in_kernel(divide)=false" in out
-        code, out, err = run(capsys, command, "x^273*y - x^30", "2", "3")
-        assert code == 2
-        assert out == ""
-        assert err == "error: division of 101 steps exceeds SEMIGROUP_MAX_BOUND=100\n"
+        # 91 + 10 words
+        assert run(capsys, command, "x^273*y - x^30", "2", "3") == over
 
-    @pytest.mark.parametrize("command", ["divide", "kernel"])
-    def test_non_integer_max_bound_exit_2(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "command, code, out, err",
+        [
+            ("divide", 2, "", "error: SEMIGROUP_MAX_BOUND must be an integer, got 'abc'\n"),
+            # kernel reads no cap
+            ("kernel", 0, "in_kernel(evaluate)=true in_kernel(divide)=true\n", ""),
+        ],
+        ids=["divide", "kernel"],
+    )
+    def test_non_integer_max_bound_exit_2(self, capsys, monkeypatch, command, code, out, err):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "abc")
-        code, out, err = run(capsys, command, "x^3 - y^2", "2", "3")
-        assert code == 2
-        assert out == ""
-        assert err == "error: SEMIGROUP_MAX_BOUND must be an integer, got 'abc'\n"
+        assert run(capsys, command, "x^3 - y^2", "2", "3") == (code, out, err)
 
 
 # the argv before and after the pair a b of each command that takes one
@@ -667,7 +682,7 @@ class TestRankNullityCommand:
 
     def test_over_cap_sweep_refused_before_any_pair_is_verified(self, capsys, monkeypatch):
         calls = []
-        true_k = gp.k_polynomial
+        true_k = gh.k_polynomial
 
         def counted_k(table):
             calls.append(table.generators.elements)

@@ -202,23 +202,24 @@ class TestKPolynomial:
     """K(q) = N(q) * prod_{i>=2} (1 - q^{a_i}) from the Apery set, against the dense route and oracles."""
 
     def test_pairs(self):
-        assert gp.k_polynomial(sc.build_table(gens(3, 5))) == {0: 1, 15: -1}
-        assert gp.k_polynomial(sc.build_table(gens(2, 3))) == {0: 1, 6: -1}
+        assert gh.k_polynomial(sc.build_table(gens(3, 5))) == {0: 1, 15: -1}
+        assert gh.k_polynomial(sc.build_table(gens(2, 3))) == {0: 1, 6: -1}
 
     def test_sparse_checks_match_the_dense_ones(self):
-        for a in range(2, 41):
-            for b in range(a + 1, 41):
-                if math.gcd(a, b) == 1:
-                    checks = gh.pair_checks(a, b)
-                    assert checks["functional_equation"] == gp.verify_functional_equation(a, b)
-                    assert checks["reciprocal_duality"] == dense_reciprocal_duality(a, b)
+        pairs = [(a, b) for a in range(2, 41) for b in range(a + 1, 41) if math.gcd(a, b) == 1]
+        # a weight of 1: S(1, b) = N has F = -1 and f_A = g_A = 0
+        pairs += [p for b in range(2, 13) for p in ((1, b), (b, 1))]
+        for a, b in pairs:
+            checks = gh.pair_checks(a, b)
+            assert checks["functional_equation"] == gp.verify_functional_equation(a, b)
+            assert checks["reciprocal_duality"] == dense_reciprocal_duality(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.integers(2, 60), min_size=3, max_size=4).filter(lambda s: math.gcd(*s) == 1))
     def test_frobenius_terms_and_root_at_one(self, elements):
         A = gens(*elements)
         table = sc.build_table(A)
-        k = gp.k_polynomial(table)
+        k = gh.k_polynomial(table)
         # Schur's bound F <= (a1 - 1)(ak - 1) - 1; a1 members in a row at the top confirm it
         a1, ak = A.elements[0], A.elements[-1]
         limit = (a1 - 1) * (ak - 1) + a1
@@ -234,7 +235,7 @@ class TestKPolynomial:
     def test_vanishes_to_order_k_minus_1_at_one(self, sympy, elements):
         # H_R has a simple pole at q = 1 and each of the k factors (1 - q^{a_i}) a simple zero
         A = gens(*elements)
-        k = gp.k_polynomial(sc.build_table(A))
+        k = gh.k_polynomial(sc.build_table(A))
         q = sympy.Symbol("q")
         poly = sympy.Poly(sum(c * q**e for e, c in k.items()), q)
         quotient, remainder = sympy.div(poly, sympy.Poly((q - 1) ** (A.k - 1), q))
