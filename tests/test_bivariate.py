@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import WalkParseError, binomial_normal_form, bivariate_mul, sparse_add, sparse_mul, walk_parse
+from oracles import (
+    OPTIONAL_GROUP_TERM_RE,
+    WalkParseError,
+    binomial_normal_form,
+    bivariate_mul,
+    sparse_add,
+    sparse_mul,
+    term_matches,
+    walk_parse,
+)
 from semialg import bivariate_algebra as biv
 from semialg.semigroup_core import BoundTooLargeError
 
@@ -62,6 +71,26 @@ def sparse_polys(max_terms=30, max_exp=12, min_terms=0):
         min_size=min_terms,
         max_size=max_terms,
     ).map(B)
+
+
+def shaped_expression(rng, monomials, twice=False):
+    """Text and summed terms of random terms written as kernel-division writes them, e.g. `9/4*x^3*y^7`.
+
+    Coefficients are +-c/q with c in 1..9 and q in 1..4, exponents i <= 24 and
+    j <= 120, in shuffled order; with twice set, each monomial is written twice.
+    """
+    written = []
+    for m in rng.sample([(i, j) for i in range(25) for j in range(121)], monomials):
+        written += [(m, Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1)))
+                    for _ in range(2 if twice else 1)]
+    rng.shuffle(written)
+    text, terms = "", {}
+    for (i, j), c in written:
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", i), ("y", j)) if e)
+        body = str(abs(c)) if not mono else (mono if abs(c) == 1 else f"{abs(c)}*{mono}")
+        text += f" {'-' if c < 0 else '+'} {body}" if text else ("-" if c < 0 else "") + body
+        terms[i, j] = terms.get((i, j), 0) + c
+    return text, terms
 
 
 coprime_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
@@ -562,6 +591,9 @@ class TestInKernel:
             assert biv.in_kernel(multiple, a, b, "divide")
 
 
+PARSER_ALPHABETS = ["xy0123456789^*/+- \t", "xy01^*/+- ", "xy12*/^+-  z@"]
+
+
 class TestParser:
     def test_round_trip(self):
         rng = random.Random(24)
@@ -675,7 +707,7 @@ class TestParser:
     def test_ascii_blanks_stripped(self):
         assert biv.parse_bivariate(" \t\n\r\f\vx^2 +\ty \v") == bp((2, 0, 1), (0, 1, 1))
 
-    @pytest.mark.parametrize("alphabet", ["xy0123456789^*/+- \t", "xy01^*/+- ", "xy12*/^+-  z@"])
+    @pytest.mark.parametrize("alphabet", PARSER_ALPHABETS)
     def test_agrees_with_the_term_by_term_parser(self, alphabet):
         """Same (den, nums), or the same message and column, as walk_parse on random strings."""
 
@@ -694,6 +726,47 @@ class TestParser:
             assert outcome(biv.parse_bivariate, text) == expected, text
             answered += isinstance(expected[1], dict)
         assert answered > 100  # both outcomes occur: answers and errors
+
+    @pytest.mark.parametrize("alphabet", PARSER_ALPHABETS)
+    def test_term_regex_matches_its_optional_group_form(self, alphabet):
+        """findall and every finditer match, groups and spans, equal those of the `?`-form regex."""
+        rng = random.Random(f"term regex:{alphabet}")
+        for _ in range(7000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            assert term_matches(biv._TERM_RE, text) == term_matches(OPTIONAL_GROUP_TERM_RE, text), text
+            assert biv._TERM_RE.findall(text) == OPTIONAL_GROUP_TERM_RE.findall(text), text
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_term_regex_matches_its_optional_group_form_on_long_expressions(self, seed):
+        text, terms = shaped_expression(random.Random(seed), 280)
+        assert term_matches(biv._TERM_RE, text) == term_matches(OPTIONAL_GROUP_TERM_RE, text)
+        assert biv._TERM_RE.findall(text) == OPTIONAL_GROUP_TERM_RE.findall(text)
+        assert biv.parse_bivariate(text) == B(terms)
+
+    def test_term_regex_has_no_optional_group(self):
+        # a group followed by `?` compiles to sre's slower REPEAT loop; `(?:X|)` is the same language
+        assert ")?" not in biv._TERM_RE.pattern
+
+    @pytest.mark.parametrize(
+        "text, triples",
+        [
+            ("x + x", [(1, 0, 2)]),
+            ("x - x", []),
+            ("1/2*x + 1/3*x - 5/6*x", []),
+            ("2*x^3*y - x^3*y + 3", [(3, 1, 1), (0, 0, 3)]),
+        ],
+    )
+    def test_repeated_monomials_are_summed(self, text, triples):
+        g = biv.parse_bivariate(text)
+        assert g == bp(*triples)
+        assert (g.den, g.nums) == walk_parse(text)
+
+    def test_every_monomial_written_twice(self):
+        text, terms = shaped_expression(random.Random("twice"), 100, twice=True)
+        assert len(terms) == 100 and text.count(" + ") + text.count(" - ") + 1 == 200
+        g = biv.parse_bivariate(text)
+        assert g == B(terms)
+        assert (g.den, g.nums) == walk_parse(text)
 
     def test_printer_descending_lex(self):
         g = bp((0, 2, 1), (3, 0, 1), (1, 1, -2))
