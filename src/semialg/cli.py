@@ -268,6 +268,16 @@ def _cmd_hilbert(args) -> int:
     return _emit(args, inputs, result, lambda: [str(series)], lambda: [_int_array(series.coefficients)])
 
 
+def _is_expression(parser: argparse.ArgumentParser, arg: str) -> bool:
+    """Whether arg, led by a single '-', is the expression of a signed_expr parser: it is not exactly an option.
+
+    So "-x^3+y^2", which argparse takes for an unknown option, is the expression,
+    and so is "-hx", which argparse reads as -h with "x" attached.
+    """
+    return (parser.signed_expr and arg[:1] == "-" and arg[1:2] != "-"
+            and arg not in parser._option_string_actions)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage error is the one line `error: <message>`, exit code 2.
 
@@ -283,12 +293,80 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
     def _parse_optional(self, arg_string):
-        # argparse takes "-x^3+y^2" for an unknown option: it starts with '-' and holds no blank.
-        # Here a single '-' that does not begin a short option such as -h begins an expression.
-        if (self.signed_expr and arg_string[:1] == "-" and arg_string[1:2] != "-"
-                and arg_string[:2] not in self._option_string_actions):
+        return None if _is_expression(self, arg_string) else super()._parse_optional(arg_string)
+
+    @functools.cached_property
+    def plain_table(self) -> tuple[dict, list, dict, int, float]:
+        """(options, positionals, defaults, least, most) for _read_plain, built from the actions on first use.
+
+        defaults are the action defaults over set_defaults, and least and most
+        count the arguments the positionals take. -h sets no default and is left
+        to argparse. build_parser's positionals are fixed, then '?', or one '+'
+        alone, so they can be assigned in order.
+        """
+        options, positionals, values = {}, [], dict(self._defaults)
+        for action in self._actions:
+            if action.default is argparse.SUPPRESS:
+                continue
+            values[action.dest] = action.default
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positionals.append(action)
+        least = sum(action.nargs != "?" for action in positionals)
+        most = math.inf if any(action.nargs == "+" for action in positionals) else len(positionals)
+        return options, positionals, values, least, most
+
+
+def _typed(action: argparse.Action, text: str):
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _read_plain(parser: _Parser, args: list[str]) -> argparse.Namespace | None:
+    """The Namespace parser.parse_args(args) builds, when args are plain; None for any other args.
+
+    Plain args are exact option strings, each flag alone and each valued option
+    followed by a value not led by '-', and one contiguous run of positionals,
+    among them '-' and expressions, assigned in order. argparse decides the rest:
+    -h, an abbreviation, --opt=value, --, a negative number, an option inside the
+    run, a missing or extra positional, a failed type call or a bad choice.
+    """
+    options, positionals, defaults, least, most = parser.plain_table
+    values, run, closed = dict(defaults), [], False
+    tokens = iter(args)
+    try:
+        for arg in tokens:
+            action = options.get(arg)
+            if action is None:
+                if closed or arg[:1] == "-" and arg != "-" and not _is_expression(parser, arg):
+                    return None
+                run.append(arg)
+                continue
+            closed = bool(run)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            value = next(tokens, "-")  # a missing value is declined as one led by '-'
+            if value[:1] == "-":
+                return None
+            values[action.dest] = _typed(action, value)
+        if not least <= len(run) <= most:
             return None
-        return super()._parse_optional(arg_string)
+        spare = len(run) - least
+        tokens = iter(run)
+        for action in positionals:
+            if action.nargs == "?":
+                if not spare:
+                    continue
+                spare -= 1
+            values[action.dest] = ([_typed(action, t) for t in tokens] if action.nargs == "+"
+                                   else _typed(action, next(tokens)))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse catches of a type call
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
@@ -352,14 +430,16 @@ def build_parser() -> _Parser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of argv, parsed by the named command's own parser.
+    """The arguments of argv, read by _read_plain or else parsed by the named command's own parser.
 
     The top-level parser reads only argv that names no command first: no
     arguments, -h or an unknown name. Its Namespace would also hold `command`.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    if command is None:
+        return parser.parse_args(argv)
+    return _read_plain(command, argv[1:]) or command.parse_args(argv[1:])
 
 
 def main(argv: list[str] | None = None) -> int:

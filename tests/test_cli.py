@@ -1,11 +1,13 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semialg
 from oracles import gaps_of, naive_gaps, naive_partition_count
@@ -756,6 +758,37 @@ class TestIntArray:
         assert out == "0\n"
 
 
+# one argv of each shape the benchmark workloads run; the plain reader must read them all
+PLAIN_SHAPES = [
+    ["verify", "29", "31", "--json"],
+    ["verify", "--sweep", "12", "--json"],
+    ["rank-nullity", "37", "40", "--json"],
+    ["hilbert", "full_ring_degree", "-", "-", "830", "--json"],
+    ["hilbert", "univariate", "-", "-", "2550", "--json"],
+    *[["hilbert", kind, "3", "7", "1700", "--json"] for kind in ("full_ring_frobenius", "kernel", "semigroup_ring")],
+    ["frobenius", "300", "317", "--json"],
+    ["frobenius", "200", "211", "223", "--witness", "123456", "--json"],
+    ["gaps", "200", "211", "223", "227", "--json"],
+    ["gap-poly", "300", "317", "--json"],
+    ["divide", "-1/2*x^4*y + 3*x - y^2", "2", "3", "--json"],
+    ["kernel", "-x^3 + y^2", "3", "5", "--json"],
+    ["divide", "x^4 - 1/2*x*y", "2", "3", "--json"],
+]
+
+# argv tokens in three groups drawn about equally often, so that runs of positionals split by
+# an option come up: ints written in several ways, every option string of every command and
+# unusual option forms, and every command name, series kind, expression led by '-', the empty
+# string and junk
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(["5", "+5", " 7", "1_0", "-3", "٣", "3", "2"]),
+    st.sampled_from([*sorted({option for command in cli.build_parser().commands.values()
+                              for option in command._option_string_actions}),
+                     "--js", "--order=7", "--witness=-1", "--", "-", "-hx"]),
+    st.sampled_from([*cli.build_parser().commands, *gh.SERIES_KINDS, "-x^3+y^2", "-1/2*x", "-x", "", "x",
+                     "x^4 - y", "3.5", "@"]),
+)
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
@@ -798,6 +831,7 @@ class TestParser:
             ["hilbert", "univariate", "-", "-", "10"],
             ["hilbert", "--order", "20", "kernel", "3", "5", "--json"],
             ["hilbert", "full_ring_degree", "-", "-", "--order=7"],
+            *PLAIN_SHAPES,
         ],
     )
     def test_command_parser_gives_the_full_parsers_namespace(self, argv):
@@ -813,7 +847,7 @@ class TestParser:
             (["frobenius", "3", "5", "--bogus"], "unrecognized arguments: --bogus"),
             (["kernel", "--bogus", "x", "2", "3"], "unrecognized arguments: --bogus"),
             (["kernel", "-x^3+y^2", "2", "3", "--bogus"], "unrecognized arguments: --bogus"),
-            (["divide", "-hx", "2", "3"], "argument -h/--help: ignored explicit argument 'x'"),
+            (["frobenius", "3", "--json", "5"], "unrecognized arguments: 5"),
             (["verify", "--sweep"], "argument --sweep: expected one argument"),
             (["bogus", "3", "5"], "argument command: invalid choice: 'bogus'"),
             ([], "the following arguments are required: command"),
@@ -825,6 +859,46 @@ class TestParser:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", ["divide", "kernel"])
+    def test_dash_h_with_more_is_the_expression_on_every_python(self, capsys, command):
+        # argparse reads -hx as -h with "x" attached: an error on 3.11.7 and 3.12.1, help with exit 0 on 3.13.0
+        assert run(capsys, command, "-hx", "2", "3") == (3, "", "error: cannot parse term starting at 'h' (column 2)\n")
+
+    @pytest.mark.parametrize("argv", PLAIN_SHAPES)
+    def test_plain_reader_reads_the_workload_shapes(self, argv):
+        # a shape that fell back to argparse would still answer, only slower: this is what sees it
+        parser = cli.build_parser()
+        assert vars(cli._read_plain(parser.commands[argv[0]], argv[1:])) == vars(parser.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "3", "--json", "5"], ["frobenius", "3", "--json", "5"], ["frobenius", "3", "5", "--witness=8"],
+         ["frobenius", "--js", "3", "5"], ["verify", "--", "3", "5"], ["verify", "-3", "5"], ["divide", "x", "2"],
+         ["divide", "x", "2", "3", "4"], ["hilbert", "bogus", "3", "5", "9"], ["gaps", "3", "x"], ["kernel", "-h"]],
+    )
+    def test_plain_reader_leaves_other_forms_to_argparse(self, argv):
+        assert cli._read_plain(cli.build_parser().commands[argv[0]], argv[1:]) is None
+
+    def test_witness_with_equals_answers(self, capsys):
+        assert run(capsys, "frobenius", "3", "5", "--witness=8") == (
+            0, "frobenius=7 genus=4 gap_count=4\nwitness(8): r=[1, 1] [1*3 + 1*5]\n", "")
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.sampled_from(sorted(cli.build_parser().commands)), st.lists(ARGV_TOKENS, max_size=7))
+    @example("verify", ["3", "--json", "5"])  # runs split by an option, always tried, as a random
+    @example("frobenius", ["5", "--json", "5"])  # draw finds one about half the time
+    def test_plain_reader_agrees_with_argparse(self, command, rest):
+        # the reader may decline any argv, but what it reads is what argparse reads, and it
+        # reads nothing argparse refuses (or answers with help)
+        read = cli._read_plain(cli.build_parser().commands[command], rest)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                parsed = cli.build_parser().parse_args([command, *rest])
+        except SystemExit:
+            assert read is None
+        else:
+            assert read is None or vars(read) == vars(parsed)
 
     @pytest.mark.parametrize(
         "argv, usage",
