@@ -8,7 +8,6 @@ every command here is a pure deterministic function of its arguments.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -16,6 +15,7 @@ import os
 import sys
 from collections.abc import Callable
 from itertools import compress
+from types import SimpleNamespace
 
 from . import bivariate_algebra as biv
 from . import graded_hilbert as gh
@@ -187,6 +187,8 @@ def _cmd_verify(args) -> int:
     if args.sweep is not None:
         if args.a is not None:
             raise ValueError("verify takes a pair a b or --sweep B, not both")
+        if args.sweep < 0:
+            raise ValueError(f"sweep bound must be nonnegative, got {args.sweep}")
         # largest pair first: (B - 1, B) has the largest table, so an over-cap sweep is refused at once
         verdicts = [all(gh.pair_checks(a, b).values())
                     for b in range(args.sweep, 2, -1) for a in range(b - 1, 1, -1) if math.gcd(a, b) == 1]
@@ -268,65 +270,88 @@ def _cmd_hilbert(args) -> int:
     return _emit(args, inputs, result, lambda: [str(series)], lambda: [_int_array(series.coefficients)])
 
 
-def _is_expression(parser: argparse.ArgumentParser, arg: str) -> bool:
-    """Whether arg, led by a single '-', is the expression of a signed_expr parser: it is not exactly an option.
+class _Command:
+    """One command of the grammar: its handler, help and arguments, --json first, and what _read_plain reads.
+
+    An argument is an option string or a positional's dest, with the keywords of
+    the add_argument call argparse makes of it. options maps each option string,
+    and positionals lists the others in order, to the dest, nargs (0 for a flag),
+    type and choices argparse reads; defaults are every dest's value when absent,
+    with handler and command; least and most count the positionals' arguments:
+    fixed ones, then '?' ones, or one '+' alone, so they are assigned in order.
+    signed_expr marks a command whose first positional is an expression.
+    """
+
+    def __init__(self, name: str, handler: Callable, help: str, *arguments: tuple[str, dict],
+                 signed_expr: bool = False):
+        self.name, self.help, self.signed_expr = name, help, signed_expr
+        self.arguments = (("--json", dict(action="store_true", help="emit a JSON envelope")), *arguments)
+        self.options, self.positionals = {}, []
+        self.defaults = {"handler": handler, "command": name}
+        for first, spec in self.arguments:
+            nargs = 0 if spec.get("action") == "store_true" else spec.get("nargs")
+            argument = SimpleNamespace(dest=first.lstrip("-").replace("-", "_"), nargs=nargs,
+                                       type=spec.get("type"), choices=spec.get("choices"))
+            self.defaults[argument.dest] = False if nargs == 0 else None
+            if first[:1] == "-":
+                self.options[first] = argument
+            else:
+                self.positionals.append(argument)
+        nargs = [argument.nargs for argument in self.positionals]
+        self.least, self.most = len(nargs) - nargs.count("?"), math.inf if "+" in nargs else len(nargs)
+
+
+@functools.cache
+def build_parser() -> dict[str, _Command]:
+    """The semialg grammar, one _Command by command name, built once per process and shared by every call.
+
+    _read_plain reads plain argv off it; _argparse_parser builds argparse's parsers from it for the rest.
+    """
+    generators = ("generators", dict(type=int, nargs="+"))
+    expr, pair = ("expr", {}), (("a", dict(type=int)), ("b", dict(type=int)))
+    commands = [
+        _Command("frobenius", _cmd_frobenius, "Frobenius number, genus, and gap count", generators,
+                 ("--gaps", dict(action="store_true", help="also list the gaps")),
+                 ("--witness", dict(type=int, metavar="N", help="print a representation of N"))),
+        _Command("gaps", _cmd_gaps, "list the gaps of S(A)", generators),
+        _Command("gap-poly", _cmd_gap_poly, "print the gap generating polynomial", generators),
+        _Command("verify", _cmd_verify, "run the identity checks for a pair (or a sweep)",
+                 ("a", dict(type=int, nargs="?")), ("b", dict(type=int, nargs="?")),
+                 ("--sweep", dict(type=int, metavar="B", help="all coprime pairs 2 <= a < b <= B"))),
+        _Command("divide", _cmd_divide, "divide an expression by x^b - y^a", expr, *pair, signed_expr=True),
+        _Command("kernel", _cmd_kernel, "kernel membership by both methods", expr, *pair, signed_expr=True),
+        _Command("rank-nullity", _cmd_rank_nullity, "check dim E_n = dim R_n + dim K_n", *pair,
+                 ("--order", dict(type=int, metavar="N", help="check up to n = N (default 3ab)"))),
+        _Command("hilbert", _cmd_hilbert, "print a truncated Hilbert series",
+                 ("which", dict(choices=gh.SERIES_KINDS)),
+                 ("a", dict(help="first weight, or '-' where unused")),
+                 ("b", dict(help="second weight, or '-' where unused")),
+                 ("n", dict(type=int, nargs="?", help="truncation order")),
+                 ("--order", dict(type=int, metavar="N", help="truncation order (alternative)"))),
+    ]
+    return {command.name: command for command in commands}
+
+
+def _is_expression(command: _Command, arg: str) -> bool:
+    """Whether arg, led by a single '-', is the expression of a signed_expr command: it is not exactly an option.
 
     So "-x^3+y^2", which argparse takes for an unknown option, is the expression,
-    and so is "-hx", which argparse reads as -h with "x" attached.
+    and so is "-hx", which argparse reads as -h with "x" attached. -h is an option
+    of every command.
     """
-    return (parser.signed_expr and arg[:1] == "-" and arg[1:2] != "-"
-            and arg not in parser._option_string_actions)
+    return (command.signed_expr and arg[:1] == "-" and arg[1:2] != "-"
+            and arg != "-h" and arg not in command.options)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage error is the one line `error: <message>`, exit code 2.
-
-    add_subparsers makes each command's parser of the same class. build_parser
-    sets the top-level parser's `commands`, each command's parser by name, and
-    `signed_expr` on the parsers whose first positional is an expression.
-    """
-
-    commands: dict[str, _Parser]
-    signed_expr = False
-
-    def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
-
-    def _parse_optional(self, arg_string):
-        return None if _is_expression(self, arg_string) else super()._parse_optional(arg_string)
-
-    @functools.cached_property
-    def plain_table(self) -> tuple[dict, list, dict, int, float]:
-        """(options, positionals, defaults, least, most) for _read_plain, built from the actions on first use.
-
-        defaults are the action defaults over set_defaults, and least and most
-        count the arguments the positionals take. -h sets no default and is left
-        to argparse. build_parser's positionals are fixed, then '?', or one '+'
-        alone, so they can be assigned in order.
-        """
-        options, positionals, values = {}, [], dict(self._defaults)
-        for action in self._actions:
-            if action.default is argparse.SUPPRESS:
-                continue
-            values[action.dest] = action.default
-            if action.option_strings:
-                options.update(dict.fromkeys(action.option_strings, action))
-            else:
-                positionals.append(action)
-        least = sum(action.nargs != "?" for action in positionals)
-        most = math.inf if any(action.nargs == "+" for action in positionals) else len(positionals)
-        return options, positionals, values, least, most
-
-
-def _typed(action: argparse.Action, text: str):
-    value = text if action.type is None else action.type(text)
-    if action.choices is not None and value not in action.choices:
+def _typed(argument: SimpleNamespace, text: str):
+    value = text if argument.type is None else argument.type(text)
+    if argument.choices is not None and value not in argument.choices:
         raise ValueError(value)
     return value
 
 
-def _read_plain(parser: _Parser, args: list[str]) -> argparse.Namespace | None:
-    """The Namespace parser.parse_args(args) builds, when args are plain; None for any other args.
+def _read_plain(command: _Command, args: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse's parser of command reads from args, when args are plain; None for any other args.
 
     Plain args are exact option strings, each flag alone and each valued option
     followed by a value not led by '-', and one contiguous run of positionals,
@@ -334,112 +359,87 @@ def _read_plain(parser: _Parser, args: list[str]) -> argparse.Namespace | None:
     -h, an abbreviation, --opt=value, --, a negative number, an option inside the
     run, a missing or extra positional, a failed type call or a bad choice.
     """
-    options, positionals, defaults, least, most = parser.plain_table
-    values, run, closed = dict(defaults), [], False
+    values, run, closed = dict(command.defaults), [], False
     tokens = iter(args)
     try:
         for arg in tokens:
-            action = options.get(arg)
-            if action is None:
-                if closed or arg[:1] == "-" and arg != "-" and not _is_expression(parser, arg):
+            option = command.options.get(arg)
+            if option is None:
+                if closed or arg[:1] == "-" and arg != "-" and not _is_expression(command, arg):
                     return None
                 run.append(arg)
                 continue
             closed = bool(run)
-            if action.nargs == 0:
-                values[action.dest] = action.const
+            if option.nargs == 0:
+                values[option.dest] = True
                 continue
             value = next(tokens, "-")  # a missing value is declined as one led by '-'
             if value[:1] == "-":
                 return None
-            values[action.dest] = _typed(action, value)
-        if not least <= len(run) <= most:
+            values[option.dest] = _typed(option, value)
+        if not command.least <= len(run) <= command.most:
             return None
-        spare = len(run) - least
+        spare = len(run) - command.least
         tokens = iter(run)
-        for action in positionals:
-            if action.nargs == "?":
+        for positional in command.positionals:
+            if positional.nargs == "?":
                 if not spare:
                     continue
                 spare -= 1
-            values[action.dest] = ([_typed(action, t) for t in tokens] if action.nargs == "+"
-                                   else _typed(action, next(tokens)))
-    except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse catches of a type call
+            values[positional.dest] = ([_typed(positional, t) for t in tokens] if positional.nargs == "+"
+                                       else _typed(positional, next(tokens)))
+    except (TypeError, ValueError):  # what argparse catches of a type call
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 @functools.cache
-def build_parser() -> _Parser:
-    """The semialg argument parser, built once per process and shared by every call."""
-    parser = _Parser(
-        prog="semialg",
-        description="Exact computations on numerical semigroups, gap polynomials, "
-        "bivariate division, and Hilbert series.",
-    )
+def _argparse_parser():
+    """argparse's parsers of the grammar, for help and usage errors; argparse is imported on the first call.
+
+    Each command's parser, of the same class as the top-level one, makes its
+    _Command's add_argument calls in order; the top-level `commands` holds them.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose usage error is the one line `error: <message>`, exit code 2."""
+
+        grammar: _Command | None = None
+
+        def error(self, message: str):
+            self.exit(2, f"error: {message}\n")
+
+        def _parse_optional(self, arg_string):
+            if self.grammar is not None and _is_expression(self.grammar, arg_string):
+                return None
+            return super()._parse_optional(arg_string)
+
+    parser = _Parser(prog="semialg", description="Exact computations on numerical semigroups, gap polynomials, "
+                     "bivariate division, and Hilbert series.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        p.set_defaults(handler=handler, command=name)
-        return p
-
-    p = add("frobenius", _cmd_frobenius, help="Frobenius number, genus, and gap count")
-    p.add_argument("generators", type=int, nargs="+")
-    p.add_argument("--gaps", action="store_true", help="also list the gaps")
-    p.add_argument("--witness", type=int, metavar="N", help="print a representation of N")
-
-    p = add("gaps", _cmd_gaps, help="list the gaps of S(A)")
-    p.add_argument("generators", type=int, nargs="+")
-
-    p = add("gap-poly", _cmd_gap_poly, help="print the gap generating polynomial")
-    p.add_argument("generators", type=int, nargs="+")
-
-    p = add("verify", _cmd_verify, help="run the identity checks for a pair (or a sweep)")
-    p.add_argument("a", type=int, nargs="?")
-    p.add_argument("b", type=int, nargs="?")
-    p.add_argument("--sweep", type=int, metavar="B", help="all coprime pairs 2 <= a < b <= B")
-
-    p = add("divide", _cmd_divide, help="divide an expression by x^b - y^a")
-    p.add_argument("expr")
-    p.signed_expr = True
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = add("kernel", _cmd_kernel, help="kernel membership by both methods")
-    p.add_argument("expr")
-    p.signed_expr = True
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = add("rank-nullity", _cmd_rank_nullity, help="check dim E_n = dim R_n + dim K_n")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--order", type=int, metavar="N", help="check up to n = N (default 3ab)")
-
-    p = add("hilbert", _cmd_hilbert, help="print a truncated Hilbert series")
-    p.add_argument("which", choices=gh.SERIES_KINDS)
-    p.add_argument("a", help="first weight, or '-' where unused")
-    p.add_argument("b", help="second weight, or '-' where unused")
-    p.add_argument("n", type=int, nargs="?", help="truncation order")
-    p.add_argument("--order", type=int, metavar="N", help="truncation order (alternative)")
-
+    for name, command in build_parser().items():
+        p = sub.add_parser(name, help=command.help)
+        p.grammar = command
+        for first, spec in command.arguments:
+            p.add_argument(first, **spec)
+        p.set_defaults(handler=command.defaults["handler"], command=name)
     parser.commands = sub.choices
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of argv, read by _read_plain or else parsed by the named command's own parser.
+def _parse(argv: list[str]):
+    """The arguments of argv, read off the grammar by _read_plain or else parsed by argparse.
 
-    The top-level parser reads only argv that names no command first: no
-    arguments, -h or an unknown name. Its Namespace would also hold `command`.
+    argparse reads them with the named command's own parser, or with the top-level
+    parser when argv names no command first: no arguments, -h or an unknown name.
     """
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    return _read_plain(command, argv[1:]) or command.parse_args(argv[1:])
+    command = build_parser().get(argv[0]) if argv else None
+    args = None if command is None else _read_plain(command, argv[1:])
+    if args is not None:
+        return args
+    parser = _argparse_parser()
+    return parser.parse_args(argv) if command is None else parser.commands[argv[0]].parse_args(argv[1:])
 
 
 def main(argv: list[str] | None = None) -> int:

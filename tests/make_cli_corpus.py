@@ -140,7 +140,7 @@ def commands():
         yield ["verify", str(a), str(b)], None
     yield ["verify", "3"], None
     yield ["verify"], None
-    for bound in (1, 2, 3, 5, 8, 12, 20):
+    for bound in (-1, 1, 2, 3, 5, 8, 12, 20):
         yield ["verify", "--sweep", str(bound)], None
         yield ["verify", "--sweep", str(bound), "--json"], None
     for cap in ("12", "18", "25", "26", "45", "46", "100", "200", "abc"):

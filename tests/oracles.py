@@ -5,6 +5,8 @@ these are the reference enumerations the real implementations are checked
 against.
 """
 
+import argparse
+import functools
 import math
 import re
 
@@ -239,3 +241,91 @@ def gaps_of(table):
     Not an oracle: a reader of the library's table, for tests that compare a gap list.
     """
     return tuple(n for n, is_gap in enumerate(table.gap_indicator(table.frobenius)) if is_gap)
+
+
+class HandBuiltParser(argparse.ArgumentParser):
+    """The CLI's argparse parser class as it was when the grammar was written as add_argument calls.
+
+    A usage error is the one line `error: <message>`, exit code 2. On a parser
+    whose signed_expr is set, an argument led by a single '-' that is not exactly
+    one of its option strings is a positional: the expression.
+    """
+
+    commands: dict
+    signed_expr = False
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        if (self.signed_expr and arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+@functools.cache
+def hand_built_parser():
+    """The semialg argument parser made by add_argument calls written out by hand.
+
+    The library builds its argparse parsers from one command table; tests pin
+    their help, their Namespace and their usage errors to these.
+    """
+    from semialg import cli
+    from semialg import graded_hilbert as gh
+
+    parser = HandBuiltParser(
+        prog="semialg",
+        description="Exact computations on numerical semigroups, gap polynomials, "
+        "bivariate division, and Hilbert series.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+        p.set_defaults(handler=handler, command=name)
+        return p
+
+    p = add("frobenius", cli._cmd_frobenius, help="Frobenius number, genus, and gap count")
+    p.add_argument("generators", type=int, nargs="+")
+    p.add_argument("--gaps", action="store_true", help="also list the gaps")
+    p.add_argument("--witness", type=int, metavar="N", help="print a representation of N")
+
+    p = add("gaps", cli._cmd_gaps, help="list the gaps of S(A)")
+    p.add_argument("generators", type=int, nargs="+")
+
+    p = add("gap-poly", cli._cmd_gap_poly, help="print the gap generating polynomial")
+    p.add_argument("generators", type=int, nargs="+")
+
+    p = add("verify", cli._cmd_verify, help="run the identity checks for a pair (or a sweep)")
+    p.add_argument("a", type=int, nargs="?")
+    p.add_argument("b", type=int, nargs="?")
+    p.add_argument("--sweep", type=int, metavar="B", help="all coprime pairs 2 <= a < b <= B")
+
+    p = add("divide", cli._cmd_divide, help="divide an expression by x^b - y^a")
+    p.add_argument("expr")
+    p.signed_expr = True
+    p.add_argument("a", type=int)
+    p.add_argument("b", type=int)
+
+    p = add("kernel", cli._cmd_kernel, help="kernel membership by both methods")
+    p.add_argument("expr")
+    p.signed_expr = True
+    p.add_argument("a", type=int)
+    p.add_argument("b", type=int)
+
+    p = add("rank-nullity", cli._cmd_rank_nullity, help="check dim E_n = dim R_n + dim K_n")
+    p.add_argument("a", type=int)
+    p.add_argument("b", type=int)
+    p.add_argument("--order", type=int, metavar="N", help="check up to n = N (default 3ab)")
+
+    p = add("hilbert", cli._cmd_hilbert, help="print a truncated Hilbert series")
+    p.add_argument("which", choices=gh.SERIES_KINDS)
+    p.add_argument("a", help="first weight, or '-' where unused")
+    p.add_argument("b", help="second weight, or '-' where unused")
+    p.add_argument("n", type=int, nargs="?", help="truncation order")
+    p.add_argument("--order", type=int, metavar="N", help="truncation order (alternative)")
+
+    parser.commands = sub.choices
+    return parser

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semialg
-from oracles import gaps_of, naive_gaps, naive_partition_count
+from oracles import gaps_of, hand_built_parser, naive_gaps, naive_partition_count
 from semialg import cli
 from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
@@ -264,6 +264,16 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "6", "9")
         assert code == 2
         assert "gcd" in err
+
+    @pytest.mark.parametrize("bound", ["-1", "-5", "-1000000000000"])
+    def test_negative_sweep_exit_2_one_line(self, capsys, bound):
+        for extra in ([], ["--json"]):
+            assert run(capsys, "verify", "--sweep", bound, *extra) == (
+                2, "", f"error: sweep bound must be nonnegative, got {bound}\n")
+
+    @pytest.mark.parametrize("bound", ["0", "1", "2"])
+    def test_sweep_without_pairs(self, capsys, bound):
+        assert run(capsys, "verify", "--sweep", bound) == (0, "0 pairs, 0 PASS\n", "")
 
     @pytest.mark.parametrize("pair", [["3", "5"], ["3"]])
     def test_pair_with_sweep_exit_2(self, capsys, pair):
@@ -781,34 +791,89 @@ PLAIN_SHAPES = [
 # string and junk
 ARGV_TOKENS = st.one_of(
     st.sampled_from(["5", "+5", " 7", "1_0", "-3", "٣", "3", "2"]),
-    st.sampled_from([*sorted({option for command in cli.build_parser().commands.values()
-                              for option in command._option_string_actions}),
+    st.sampled_from([*sorted({"-h", "--help", *(option for command in cli.build_parser().values()
+                                                  for option in command.options)}),
                      "--js", "--order=7", "--witness=-1", "--", "-", "-hx"]),
-    st.sampled_from([*cli.build_parser().commands, *gh.SERIES_KINDS, "-x^3+y^2", "-1/2*x", "-x", "", "x",
+    st.sampled_from([*cli.build_parser(), *gh.SERIES_KINDS, "-x^3+y^2", "-1/2*x", "-x", "", "x",
                      "x^4 - y", "3.5", "@"]),
 )
+
+
+def oracle_outcome(argv):
+    """(exit code, stdout, stderr) of argv read by the hand-built parsers, routed as main routes it."""
+    parser = hand_built_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# run in a fresh isolated interpreter, so no test module's imports count: the modules each stage loads,
+# and the outcome of help and of an unknown command next to the hand-built parsers' outcome
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+src, tests, routes, plain = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), json.loads(sys.argv[4])
+sys.path.insert(0, src)
+import semialg, semialg.cli as cli
+cli.build_parser()
+seen = [sorted({"dataclasses", "inspect"} & set(sys.modules))]
+
+def outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv), "", err.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+for argvs, modules in ((routes, {"fractions", "decimal"}), (plain, {"argparse", "gettext", "locale"})):
+    seen.append([[outcome(cli.main, argv)[0] for argv in argvs], sorted(modules & set(sys.modules))])
+for argv in (["verify", "-h"], ["bogus"]):
+    seen.append([outcome(cli.main, argv), "argparse" in sys.modules])
+sys.path.insert(0, tests)
+from oracles import hand_built_parser
+seen.append(outcome(hand_built_parser().commands["verify"].parse_args, ["-h"]))
+seen.append(outcome(hand_built_parser().parse_args, ["bogus"]))
+print(json.dumps(seen))
+"""
+
+USAGE_ERRORS = [
+    (["frobenius"], "the following arguments are required: generators"),
+    (["divide", "x", "2"], "the following arguments are required: b"),
+    (["frobenius", "3", "x"], "argument generators: invalid int value: 'x'"),
+    (["frobenius", "3", "5", "--bogus"], "unrecognized arguments: --bogus"),
+    (["kernel", "--bogus", "x", "2", "3"], "unrecognized arguments: --bogus"),
+    (["kernel", "-x^3+y^2", "2", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    (["frobenius", "3", "--json", "5"], "unrecognized arguments: 5"),
+    (["verify", "--sweep"], "argument --sweep: expected one argument"),
+    (["bogus", "3", "5"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+]
 
 
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+        assert cli._argparse_parser() is cli._argparse_parser()
 
     def test_import_and_parser_load_neither_dataclasses_nor_inspect(self):
-        # a fresh isolated interpreter, so no test module's imports count
         src = os.path.dirname(os.path.dirname(semialg.__file__))
         # no Fraction is built on these routes, so neither fractions nor its decimal loads
-        argvs = [
+        routes = [
             ["verify", "3", "5"], ["hilbert", "kernel", "3", "5", "9", "--json"], ["gaps", "3", "5", "--json"],
             ["kernel", "x^3 - y^2", "2", "3", "--json"], ["divide", "x^4", "2", "3", "--json"],
         ]
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import semialg, semialg.cli as cli; cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr); "
-            f"codes = [cli.main(argv) for argv in {argvs!r}]; "
-            "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)"
-        )
-        err = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stderr
-        assert err == f"[]\n{[0] * len(argvs)} []\n"
+        argv = [sys.executable, "-I", "-c", IMPORT_GUARD, src, os.path.dirname(__file__),
+                json.dumps(routes), json.dumps(PLAIN_SHAPES)]
+        seen = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+        # plain argv loads no argparse, nor the gettext and locale that argparse loads
+        assert seen[:3] == [[], [[0] * len(routes), []], [[0] * len(PLAIN_SHAPES), []]]
+        (help_code, help_out, help_err), help_loads = seen[3]
+        assert (help_code, help_err, help_loads) == (0, "", True) and help_out.startswith("usage: semialg verify [-h]")
+        (bogus_code, bogus_out, bogus_err), bogus_loads = seen[4]
+        assert (bogus_code, bogus_out, bogus_loads, bogus_err.count("\n")) == (2, "", True, 1)
+        assert seen[5:] == [seen[3][0], seen[4][0]]
 
     @pytest.mark.parametrize(
         "argv",
@@ -835,30 +900,24 @@ class TestParser:
         ],
     )
     def test_command_parser_gives_the_full_parsers_namespace(self, argv):
-        # main reads argv with the command's own parser, whose defaults also record `command`
-        assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+        # main reads argv off the grammar or with the command's own parser, whose defaults also record `command`
+        assert vars(cli._parse(argv)) == vars(cli._argparse_parser().parse_args(argv))
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["frobenius"], "the following arguments are required: generators"),
-            (["divide", "x", "2"], "the following arguments are required: b"),
-            (["frobenius", "3", "x"], "argument generators: invalid int value: 'x'"),
-            (["frobenius", "3", "5", "--bogus"], "unrecognized arguments: --bogus"),
-            (["kernel", "--bogus", "x", "2", "3"], "unrecognized arguments: --bogus"),
-            (["kernel", "-x^3+y^2", "2", "3", "--bogus"], "unrecognized arguments: --bogus"),
-            (["frobenius", "3", "--json", "5"], "unrecognized arguments: 5"),
-            (["verify", "--sweep"], "argument --sweep: expected one argument"),
-            (["bogus", "3", "5"], "argument command: invalid choice: 'bogus'"),
-            ([], "the following arguments are required: command"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
     def test_usage_error_is_one_line_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+        assert oracle_outcome(argv) == (2, "", err)
+
+    def test_argparse_parsers_have_the_hand_built_help(self):
+        built, oracle = cli._argparse_parser(), hand_built_parser()
+        assert list(built.commands) == list(oracle.commands) == list(cli.build_parser())
+        assert built.format_help() == oracle.format_help()
+        for name, parser in built.commands.items():
+            assert parser.format_help() == oracle.commands[name].format_help()
 
     @pytest.mark.parametrize("command", ["divide", "kernel"])
     def test_dash_h_with_more_is_the_expression_on_every_python(self, capsys, command):
@@ -868,8 +927,8 @@ class TestParser:
     @pytest.mark.parametrize("argv", PLAIN_SHAPES)
     def test_plain_reader_reads_the_workload_shapes(self, argv):
         # a shape that fell back to argparse would still answer, only slower: this is what sees it
-        parser = cli.build_parser()
-        assert vars(cli._read_plain(parser.commands[argv[0]], argv[1:])) == vars(parser.parse_args(argv))
+        read = cli._read_plain(cli.build_parser()[argv[0]], argv[1:])
+        assert vars(read) == vars(cli._argparse_parser().parse_args(argv)) == vars(hand_built_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -878,23 +937,23 @@ class TestParser:
          ["divide", "x", "2", "3", "4"], ["hilbert", "bogus", "3", "5", "9"], ["gaps", "3", "x"], ["kernel", "-h"]],
     )
     def test_plain_reader_leaves_other_forms_to_argparse(self, argv):
-        assert cli._read_plain(cli.build_parser().commands[argv[0]], argv[1:]) is None
+        assert cli._read_plain(cli.build_parser()[argv[0]], argv[1:]) is None
 
     def test_witness_with_equals_answers(self, capsys):
         assert run(capsys, "frobenius", "3", "5", "--witness=8") == (
             0, "frobenius=7 genus=4 gap_count=4\nwitness(8): r=[1, 1] [1*3 + 1*5]\n", "")
 
     @settings(max_examples=800, deadline=None)
-    @given(st.sampled_from(sorted(cli.build_parser().commands)), st.lists(ARGV_TOKENS, max_size=7))
+    @given(st.sampled_from(sorted(cli.build_parser())), st.lists(ARGV_TOKENS, max_size=7))
     @example("verify", ["3", "--json", "5"])  # runs split by an option, always tried, as a random
     @example("frobenius", ["5", "--json", "5"])  # draw finds one about half the time
     def test_plain_reader_agrees_with_argparse(self, command, rest):
         # the reader may decline any argv, but what it reads is what argparse reads, and it
         # reads nothing argparse refuses (or answers with help)
-        read = cli._read_plain(cli.build_parser().commands[command], rest)
+        read = cli._read_plain(cli.build_parser()[command], rest)
         try:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                parsed = cli.build_parser().parse_args([command, *rest])
+                parsed = cli._argparse_parser().parse_args([command, *rest])
         except SystemExit:
             assert read is None
         else:
@@ -911,6 +970,7 @@ class TestParser:
         out, err = capsys.readouterr()
         assert exc.value.code == 0 and err == ""
         assert out.startswith(f"usage: {usage}")
+        assert oracle_outcome(argv) == (0, out, "")
 
 
 class TestClosedStdout:
