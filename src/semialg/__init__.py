@@ -1,11 +1,15 @@
 """Exact arithmetic for numerical semigroups and their gap polynomials.
 
-Subpackages:
+Modules:
     semigroup_core    Apery sets, membership, Frobenius number, genus, witnesses
     gap_polynomials   f_A(q) and the dense functional equation, library API only
     bivariate_algebra division by x^b - y^a (the one division cap) and the monomial-map kernel
     graded_hilbert    denumerants, graded dimensions, Hilbert series, the K-polynomial, verify's pair checks
     cli               deterministic command-line front end
+
+No command reads gap_polynomials, graded_dims, partition_count, phi_evaluate
+or TruncatedSeries. They are kept only because bench/tracing.py patches them
+by name (TruncatedSeries through its __mul__).
 """
 
 from .semigroup_core import (

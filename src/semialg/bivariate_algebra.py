@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .semigroup_core import check_size, validate_pair
 
-if TYPE_CHECKING:  # fractions is imported only where a Fraction is built or checked
+if TYPE_CHECKING:  # fractions is imported only where a Fraction is built
     from fractions import Fraction
 
 
@@ -30,52 +30,24 @@ def _monomial_text(i: int, j: int) -> str:
     return "*".join(parts)
 
 
-def _canonical(den: int, nums: dict[tuple[int, int], int]) -> tuple[int, dict[tuple[int, int], int]]:
-    """den and nums, den > 0, with the zero numerators dropped and their common gcd divided out."""
-    nums = {m: c for m, c in nums.items() if c}
-    g = math.gcd(den, *nums.values())
-    return (den, nums) if g == 1 else (den // g, {m: c // g for m, c in nums.items()})
-
-
 class BivariatePolynomial:
     """Nonzero int numerators `nums` by (i, j) over one positive int denominator `den`.
 
     Canonical, gcd(den, *nums.values()) == 1, so polynomials are equal exactly
     when both fields are; `terms` shows the coefficients as Fractions.
 
-    Built from ints and Fractions only: a float, Decimal or any other
-    coefficient raises TypeError, as does an exponent that is not an int (a
-    bool included). A negative exponent or a key that is not a pair raises
-    ValueError.
+    The one constructor takes den > 0 and int numerators keyed by (i, j) pairs
+    of nonnegative ints, unchecked: it drops the zero numerators and divides
+    out their common gcd with den. Text is checked where it is read, in
+    parse_bivariate.
     """
 
     __slots__ = ("den", "nums")
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        ratios = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(m, tuple) or len(m) != 2:
-                    raise ValueError(f"a term key must be a pair (i, j), got {m!r}")
-                i, j = m
-                if type(i) is not int or type(j) is not int:
-                    raise TypeError(f"exponents must be ints, got {type(i).__name__} and {type(j).__name__}")
-                if i < 0 or j < 0:
-                    raise ValueError(f"exponents must be nonnegative, got {m}")
-                if type(c) is not int:
-                    from fractions import Fraction
-                    if type(c) is not Fraction:
-                        raise TypeError(f"coefficients must be ints or Fractions, got {type(c).__name__}")
-                ratios[i, j] = c.as_integer_ratio()
-        L = math.lcm(*[d for _, d in ratios.values()])
-        self.den, self.nums = _canonical(L, {m: L // d * n for m, (n, d) in ratios.items()})
-
-    @classmethod
-    def _of(cls, den: int, nums: dict[tuple[int, int], int]) -> "BivariatePolynomial":
-        """The polynomial of nums[m] / den, den > 0 and each key an (i, j) int pair, unchecked."""
-        p = object.__new__(cls)
-        p.den, p.nums = _canonical(den, nums)
-        return p
+    def __init__(self, den: int, nums: dict[tuple[int, int], int]):
+        nums = {m: c for m, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
+        self.den, self.nums = (den, nums) if g == 1 else (den // g, {m: c // g for m, c in nums.items()})
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -156,7 +128,7 @@ def divide(g: BivariatePolynomial, a: int, b: int) -> DivisionResult:
             for key in zip(range(i - b, -1, -b), range(j, j + a * (i // b), a)):
                 q[key] = q[key] + c if key in q else c
     r = _remainder_numerators(g, a, b)
-    return DivisionResult(BivariatePolynomial._of(g.den, q), BivariatePolynomial._of(g.den, r))
+    return DivisionResult(BivariatePolynomial(g.den, q), BivariatePolynomial(g.den, r))
 
 
 def _image_sums(g: BivariatePolynomial, a: int, b: int) -> dict[int, int]:
@@ -275,7 +247,7 @@ def parse_bivariate(text: str) -> BivariatePolynomial:
             total[key] = total[key] + n if key in total else n
     except (ValueError, ZeroDivisionError):  # a numeral past int's digit limit, or a zero denominator
         raise _first_fault(s) from None
-    return BivariatePolynomial._of(L, total)
+    return BivariatePolynomial(L, total)
 
 
 def bivariate_to_json(g: BivariatePolynomial) -> list[list]:

@@ -111,6 +111,14 @@ def _int_array(values: tuple[int, ...]) -> str:
     return ascii_text.decode()
 
 
+def _series_text(c: tuple[int, ...]) -> str:
+    """The truncated series c_0 + c_1*q + ... + c_N*q^N + O(q^{N+1}), every coefficient written."""
+    # the terms from q^2 on are joined 16,384 at a time, never one string per term at once
+    blocks = (" + ".join(map("{}*q^{}".format, c[n : n + 16384], range(n, n + 16384)))
+              for n in range(2, len(c), 16384))
+    return " + ".join([str(c[0]), *(f"{c1}*q" for c1 in c[1:2]), *blocks, f"O(q^{len(c)})"])
+
+
 def _gap_line(table: sc.SemigroupTable) -> str:
     return "".join(_gap_pieces(table, " ")) if table.genus else "(none)"
 
@@ -264,10 +272,10 @@ def _cmd_hilbert(args) -> int:
     if order is None:
         raise ValueError("hilbert needs a truncation order (positional N or --order)")
     a, b = _opt_int(args.a, "a"), _opt_int(args.b, "b")
-    series = gh.hilbert_series(args.which, a, b, order)
+    coefficients = gh.hilbert_series(args.which, a, b, order)
     inputs = {"which": args.which, "a": a, "b": b, "order": order}
     result = {**inputs, "coefficients": _SLOT}
-    return _emit(args, inputs, result, lambda: [str(series)], lambda: [_int_array(series.coefficients)])
+    return _emit(args, inputs, result, lambda: [_series_text(coefficients)], lambda: [_int_array(coefficients)])
 
 
 class _Command:

@@ -22,7 +22,12 @@ SERIES_KINDS = (
 
 
 class TruncatedSeries:
-    """Exact integer coefficients c_0..c_N of a formal power series mod q^{N+1}."""
+    """Exact integer coefficients c_0..c_N of a formal power series mod q^{N+1}.
+
+    No code in semialg builds one: hilbert_series returns plain coefficient
+    tuples. The class and its product stay because bench/tracing.py patches
+    TruncatedSeries.__mul__ by name.
+    """
 
     __slots__ = ("order", "coefficients")
 
@@ -31,11 +36,6 @@ class TruncatedSeries:
         if len(self.coefficients) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(self.coefficients)}")
         self.order = order
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -48,16 +48,6 @@ class TruncatedSeries:
                 if cj:
                     out[i + j] += ci * cj
         return TruncatedSeries(n, out)
-
-    def __str__(self) -> str:
-        c = self.coefficients
-        # the terms from q^2 on are joined 16,384 at a time, never one string per term at once
-        blocks = (" + ".join(map("{}*q^{}".format, c[n : n + 16384], range(n, n + 16384)))
-                  for n in range(2, len(c), 16384))
-        return " + ".join([str(c[0]), *(f"{c1}*q" for c1 in c[1:2]), *blocks, f"O(q^{self.order + 1})"])
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order})"
 
 
 def _denumerants(a: int, b: int, nmax: int) -> list[int]:
@@ -177,8 +167,8 @@ def pair_checks(a: int, b: int) -> dict[str, bool]:
     }
 
 
-def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> TruncatedSeries:
-    """Truncated expansion of one of the five closed-form Hilbert series.
+def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> tuple[int, ...]:
+    """The coefficients c_0..c_order of one of the five closed-form Hilbert series.
 
     `which` is one of SERIES_KINDS. The univariate and degree-graded series
     take no pair: a and b must be None there, and are needed for the other
@@ -190,15 +180,15 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> Trun
         if a is not None or b is not None:
             raise ValueError(f"series kind {which!r} takes no pair (a, b)")
         if which == "univariate":
-            return TruncatedSeries(order, (1,) * (order + 1))
+            return (1,) * (order + 1)
         # 1/(1-q)^2 = sum (n+1) q^n
-        return TruncatedSeries(order, range(1, order + 2))
+        return tuple(range(1, order + 2))
     if which not in SERIES_KINDS:
         raise ValueError(f"unknown series kind {which!r}")
     if a is None or b is None:
         raise ValueError(f"series kind {which!r} needs the pair (a, b)")
     if which == "semigroup_ring":
-        return TruncatedSeries(order, _ring_dims(a, b, order))
+        return tuple(_ring_dims(a, b, order))
     validate_pair(a, b)
     full = _denumerants(a, b, order)
-    return TruncatedSeries(order, full if which == "full_ring_frobenius" else _kernel_dims(a * b, full))
+    return tuple(full) if which == "full_ring_frobenius" else _kernel_dims(a * b, full)

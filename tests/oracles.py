@@ -118,6 +118,22 @@ def bivariate_mul(f, g):
     return {m: c for m, c in out.items() if c != 0}
 
 
+def poly_from_terms(terms=None):
+    """The BivariatePolynomial of {(i, j): int or Fraction} terms, through its (den, nums) constructor.
+
+    Not an oracle: a builder for tests. den is the lcm of the coefficients'
+    denominators, and each numerator is its coefficient times den; the
+    constructor drops the zeros.
+    """
+    from fractions import Fraction
+
+    from semialg.bivariate_algebra import BivariatePolynomial
+
+    coefficients = {m: Fraction(c) for m, c in (terms or {}).items()}
+    den = math.lcm(*(c.denominator for c in coefficients.values()))
+    return BivariatePolynomial(den, {m: int(c * den) for m, c in coefficients.items()})
+
+
 def dense_reciprocal_duality(a, b, f=None, g=None):
     """The reciprocal form of the functional equation of S(a, b), by dense products.
 

@@ -1,6 +1,5 @@
 import math
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from oracles import (
     WalkParseError,
     binomial_normal_form,
     bivariate_mul,
+    poly_from_terms,
     sparse_add,
     sparse_mul,
     term_matches,
@@ -19,7 +19,7 @@ from oracles import (
 from semialg import bivariate_algebra as biv
 from semialg.semigroup_core import BoundTooLargeError
 
-B = biv.BivariatePolynomial
+B = poly_from_terms
 
 
 def bp(*triples):
@@ -99,18 +99,7 @@ coprime_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
 
 
 class TestExactCoefficients:
-    """Coefficients are ints or Fractions only; anything else is a TypeError, never a rounded value."""
-
-    @pytest.mark.parametrize("bad", [0.1, 2.0, Decimal("0.1"), Decimal(3)])
-    def test_inexact_coefficient_rejected(self, bad):
-        with pytest.raises(TypeError, match="ints or Fractions"):
-            B({(1, 0): bad})
-        with pytest.raises(TypeError, match="ints or Fractions"):
-            B({(0, 1): 1, (1, 0): bad})
-
-    def test_float_beside_huge_int_rejected(self):
-        with pytest.raises(TypeError, match="got float"):
-            B({(2, 0): 10**400, (1, 0): 0.5})
+    """Int and Fraction coefficients are kept exact, and `terms` shows each as a Fraction."""
 
     def test_ints_and_fractions_kept_exact(self):
         g = bp((1, 0, 3), (0, 1, Fraction(1, 3)), (1, 0, Fraction(-3)))
@@ -120,29 +109,6 @@ class TestExactCoefficients:
 
 class TestExponents:
     """A term key is a pair of nonnegative ints, stored as a plain (i, j) tuple."""
-
-    @pytest.mark.parametrize("key", [(1.5, 2), (2, 2.0), (True, 0), (0, False), ("1", 0), (Fraction(1), 0)])
-    def test_non_int_exponent_rejected(self, key):
-        with pytest.raises(TypeError, match="exponents must be ints"):
-            B({key: 1})
-        with pytest.raises(TypeError, match="exponents must be ints"):
-            B({(4, 0): 1, key: 1})
-
-    @pytest.mark.parametrize("key", [(-3, 2), (0, -1), (-1, -1)])
-    def test_negative_exponent_rejected(self, key):
-        with pytest.raises(ValueError, match="exponents must be nonnegative"):
-            B({key: 1})
-        with pytest.raises(ValueError, match="exponents must be nonnegative"):
-            B({(4, 0): 1, key: 1})
-
-    @pytest.mark.parametrize("key", [(1,), (1, 2, 3), (), 5, "xy", frozenset({1, 2})])
-    def test_key_not_a_pair_rejected(self, key):
-        with pytest.raises(ValueError, match="must be a pair"):
-            B({key: 1})
-
-    def test_zero_coefficient_key_still_checked(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            B({(-1, 0): 0})
 
     def test_keys_are_plain_tuples(self):
         g = biv.parse_bivariate("3*x^4*y - 1/2*x^2 + y^3 + 7")
@@ -328,6 +294,11 @@ class TestCommonDenominator:
         assert_canonical(p)
         assert p.terms == {m: Fraction(c) for m, c in terms.items() if c}
 
+    @given(raw_terms, st.integers(1, 30))
+    def test_constructor_divides_out_a_common_factor(self, terms, k):
+        p = B(terms)
+        assert biv.BivariatePolynomial(k * p.den, {m: k * c for m, c in p.nums.items()}) == p
+
     @given(sparse_polys(), coprime_pairs)
     def test_parse_and_divide(self, p, pair):
         for r in (biv.parse_bivariate(str(p)), *biv.divide(p, *pair)):
@@ -351,7 +322,7 @@ class TestCommonDenominator:
         assert_canonical(g)
 
     def test_zero_polynomial_has_denominator_one(self):
-        for z in (biv.parse_bivariate("x - x"), B(), B({(2, 1): 0})):
+        for z in (biv.parse_bivariate("x - x"), B(), B({(2, 1): 0}), biv.BivariatePolynomial(5, {(3, 3): 0})):
             assert (z.den, z.nums) == (1, {}) and z.is_zero() and z == B()
 
     def test_many_prime_denominators(self):
@@ -716,7 +687,7 @@ class TestParser:
                 g = parse(text)
             except (biv.ParseError, WalkParseError) as exc:
                 return str(exc), exc.column
-            return (g.den, g.nums) if isinstance(g, B) else g
+            return (g.den, g.nums) if isinstance(g, biv.BivariatePolynomial) else g
 
         rng = random.Random(f"parser:{alphabet}")
         answered = 0

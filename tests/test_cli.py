@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semialg
-from oracles import gaps_of, hand_built_parser, naive_gaps, naive_partition_count
+from oracles import gaps_of, hand_built_parser, naive_gaps, naive_members, naive_partition_count
 from semialg import cli
 from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
@@ -589,7 +589,7 @@ class TestHilbertCommand:
     )
     def test_json_byte_identical(self, capsys, which, a, b, order):
         inputs = {"which": which, "a": a, "b": b, "order": order}
-        coefficients = list(gh.hilbert_series(which, a, b, order).coefficients)
+        coefficients = list(gh.hilbert_series(which, a, b, order))
         envelope = {"command": "hilbert", "inputs": inputs, "result": {**inputs, "coefficients": coefficients}}
         argv = ["-" if w is None else str(w) for w in (a, b)]
         assert run(capsys, "hilbert", which, *argv, str(order), "--json") == (
@@ -600,8 +600,50 @@ class TestHilbertCommand:
         _, out, _ = run(capsys, "hilbert", "kernel", "3", "5", "25", "--json")
         payload = json.loads(out)
         s = gh.hilbert_series("kernel", 3, 5, 25)
-        assert payload["result"]["order"] == s.order
-        assert tuple(payload["result"]["coefficients"]) == s.coefficients
+        assert payload["result"]["order"] == len(s) - 1
+        assert tuple(payload["result"]["coefficients"]) == s
+
+
+def series_text(coefficients):
+    """The text of a truncated series with one term per coefficient: c_0 + c_1*q + c_2*q^2 + ... + O(q^{N+1})."""
+    terms = [str(c) if n == 0 else f"{c}*q" if n == 1 else f"{c}*q^{n}" for n, c in enumerate(coefficients)]
+    return " + ".join(terms) + f" + O(q^{len(coefficients)})"
+
+
+def euler_product(a, b, order):
+    """The coefficients of 1/((1-q^a)(1-q^b)) up to q^order: the multiples of a, then one pass adding p(n - b)."""
+    p = [int(n % a == 0) for n in range(order + 1)]
+    for n in range(b, order + 1):
+        p[n] += p[n - b]
+    return p
+
+
+class TestSeriesText:
+    """cli._series_text, the text form of `hilbert`, against one term per coefficient."""
+
+    def test_str(self):
+        assert cli._series_text((1, 0, 3)) == "1 + 0*q + 3*q^2 + O(q^3)"
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 16384, 16385, 16386, 16387, 32770, 40000])
+    def test_str_across_block_boundaries(self, order):
+        # the text is built in blocks of 16,384 terms; compare it with one term per coefficient
+        c = tuple((-1) ** n * (n * n % 1009) for n in range(order + 1))
+        assert cli._series_text(c) == series_text(c)
+
+    # order 16386: the terms q^2 .. q^16386 pass the first block of 16,384 by one
+    @pytest.mark.parametrize(
+        "which, a, b, coefficients",
+        [("univariate", None, None, lambda n: [1] * (n + 1)),
+         ("full_ring_degree", None, None, lambda n: range(1, n + 2)),
+         ("semigroup_ring", 3, 5, lambda n: map(int, naive_members((3, 5), n))),
+         ("full_ring_frobenius", 3, 5, lambda n: euler_product(3, 5, n)),
+         ("kernel", 3, 5, lambda n: [0] * 15 + euler_product(3, 5, n - 15))],
+    )
+    def test_hilbert_text_past_the_first_block(self, capsys, which, a, b, coefficients):
+        argv = ["-" if w is None else str(w) for w in (a, b)]
+        assert run(capsys, "hilbert", which, *argv, "16386") == (
+            0, series_text(tuple(coefficients(16386))) + "\n", ""
+        )
 
 
 class TestRankNullityCommand:

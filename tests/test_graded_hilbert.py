@@ -24,16 +24,6 @@ class TestTruncatedSeries:
         g = TS(5, [1] * 6)
         assert (g * g).coefficients == (1, 2, 3, 4, 5, 6)
 
-    def test_str(self):
-        assert str(TS(2, [1, 0, 3])) == "1 + 0*q + 3*q^2 + O(q^3)"
-
-    @pytest.mark.parametrize("order", [0, 1, 2, 3, 16384, 16385, 16386, 16387, 32770, 40000])
-    def test_str_across_block_boundaries(self, order):
-        # the text is built in blocks of 16,384 terms; compare it with one term per coefficient
-        s = TS(order, [(-1) ** n * (n * n % 1009) for n in range(order + 1)])
-        terms = [str(c) if n == 0 else f"{c}*q" if n == 1 else f"{c}*q^{n}" for n, c in enumerate(s.coefficients)]
-        assert str(s) == " + ".join(terms) + f" + O(q^{order + 1})"
-
 
 class TestPartitionCount:
     def test_examples(self):
@@ -105,7 +95,7 @@ class TestDimensionTables:
                     expected = tuple(int(m) for m in members[: nmax + 1])
                     _, ring, _ = gh.graded_dims(a, b, nmax)
                     assert ring == expected
-                    assert gh.hilbert_series("semigroup_ring", a, b, nmax).coefficients == expected
+                    assert gh.hilbert_series("semigroup_ring", a, b, nmax) == expected
 
     def test_order_over_cap_refused(self, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "50")
@@ -153,40 +143,40 @@ class TestRankNullity:
 class TestHilbertSeries:
     def test_univariate(self):
         s = gh.hilbert_series("univariate", None, None, 6)
-        assert all(c == 1 for c in s.coefficients)
+        assert all(c == 1 for c in s)
 
     def test_full_ring_degree(self):
         s = gh.hilbert_series("full_ring_degree", None, None, 8)
-        assert s.coefficients == tuple(n + 1 for n in range(9))
+        assert s == tuple(n + 1 for n in range(9))
 
     def test_full_ring_frobenius(self):
         s = gh.hilbert_series("full_ring_frobenius", 3, 5, 40)
         for n in range(41):
-            assert s.coefficients[n] == gh.partition_count(3, 5, n)
+            assert s[n] == gh.partition_count(3, 5, n)
 
     def test_semigroup_ring_is_membership_indicator(self):
         table = sc.build_table(sc.validate_generators([3, 5]))
         s = gh.hilbert_series("semigroup_ring", 3, 5, 30)
         for n in range(31):
-            assert s.coefficients[n] == (1 if table.is_member(n) else 0)
+            assert s[n] == (1 if table.is_member(n) else 0)
 
     def test_kernel_shift(self):
         full = gh.hilbert_series("full_ring_frobenius", 3, 5, 40)
         kernel = gh.hilbert_series("kernel", 3, 5, 40)
         for n in range(41):
-            expected = full.coefficients[n - 15] if n >= 15 else 0
-            assert kernel.coefficients[n] == expected
+            expected = full[n - 15] if n >= 15 else 0
+            assert kernel[n] == expected
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 31, 199, 200, 211])
     def test_closed_forms_match_dense_products(self, order):
         g1 = TS(order, [1] * (order + 1))
-        assert gh.hilbert_series("full_ring_degree", None, None, order) == g1 * g1
+        assert gh.hilbert_series("full_ring_degree", None, None, order) == (g1 * g1).coefficients
         for a, b in [(2, 3), (3, 5), (4, 7), (9, 11), (13, 17)]:
             q_a, q_b = (TS(order, [int(n % m == 0) for n in range(order + 1)]) for m in (a, b))
             product = q_a * q_b
-            assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product
+            assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product.coefficients
             q_ab = TS(order, [int(n == a * b) for n in range(order + 1)])
-            assert gh.hilbert_series("kernel", a, b, order) == product * q_ab
+            assert gh.hilbert_series("kernel", a, b, order) == (product * q_ab).coefficients
 
     def test_semigroup_ring_builds_no_denumerants(self, monkeypatch):
         def refused(*args):
@@ -194,7 +184,7 @@ class TestHilbertSeries:
 
         monkeypatch.setattr(gh, "_denumerants", refused)
         s = gh.hilbert_series("semigroup_ring", 5, 9, 40)
-        assert s.coefficients == tuple(int(m) for m in naive_members((5, 9), 40))
+        assert s == tuple(int(m) for m in naive_members((5, 9), 40))
 
     @pytest.mark.parametrize("which", ["univariate", "full_ring_degree"])
     @pytest.mark.parametrize("a, b", [(3, 5), (3, None), (None, 5)])
@@ -207,6 +197,13 @@ class TestHilbertSeries:
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "5")
         with pytest.raises(sc.BoundTooLargeError, match="series of 6 coefficients exceeds"):
             gh.hilbert_series(which, a, b, 5)
+
+    @pytest.mark.parametrize("which, a, b", [("univariate", None, None), ("full_ring_degree", None, None),
+                                             ("full_ring_frobenius", 3, 5), ("semigroup_ring", 3, 5),
+                                             ("kernel", 3, 5)])
+    def test_returns_a_tuple_of_ints(self, which, a, b):
+        s = gh.hilbert_series(which, a, b, 20)
+        assert type(s) is tuple and len(s) == 21 and all(type(c) is int for c in s)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -236,9 +233,9 @@ class TestWeightOne:
             table = sc.build_table(sc.validate_pair(a, c))
             assert (table.frobenius, table.genus) == (max(gaps, default=-1), len(gaps)) == (-1, 0)
             assert gh.k_polynomial(table) == k == {0: 1, b: -1}
-            assert gh.hilbert_series("semigroup_ring", a, c, order).coefficients == tuple(ring.values())
-            assert gh.hilbert_series("full_ring_frobenius", a, c, order).coefficients == full
-            assert gh.hilbert_series("kernel", a, c, order).coefficients == kernel
+            assert gh.hilbert_series("semigroup_ring", a, c, order) == tuple(ring.values())
+            assert gh.hilbert_series("full_ring_frobenius", a, c, order) == full
+            assert gh.hilbert_series("kernel", a, c, order) == kernel
             assert gh.graded_dims(a, c, order) == (full, tuple(ring.values()), kernel)
             assert all(gh.pair_checks(a, c).values())
             assert gh.rank_nullity_failure(a, c, 10 * b) is None
@@ -257,7 +254,7 @@ class TestEulerProduct:
         for a, b in [(3, 5), (2, 3), (5, 8)]:
             q_a, q_b = (TS(500, [int(n % m == 0) for n in range(501)]) for m in (a, b))
             product = q_a * q_b
-            assert gh.hilbert_series("full_ring_frobenius", a, b, 500) == product
+            assert gh.hilbert_series("full_ring_frobenius", a, b, 500) == product.coefficients
 
 
 class TestSeriesIdentity:
@@ -265,8 +262,8 @@ class TestSeriesIdentity:
 
     @staticmethod
     def assert_identity(a, b, order):
-        full = gh.hilbert_series("full_ring_frobenius", a, b, order).coefficients
-        ring = gh.hilbert_series("semigroup_ring", a, b, order).coefficients
+        full = gh.hilbert_series("full_ring_frobenius", a, b, order)
+        ring = gh.hilbert_series("semigroup_ring", a, b, order)
         f = gp.gap_polynomial(sc.validate_pair(a, b)).coefficients
         ab = a * b
         for n in range(order + 1):
