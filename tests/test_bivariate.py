@@ -98,6 +98,16 @@ coprime_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(
 )
 
 
+def assert_parse_refused(text, column):
+    """parse_bivariate refuses text at column, with the same message as walk_parse."""
+    with pytest.raises(biv.ParseError) as exc:
+        biv.parse_bivariate(text)
+    assert exc.value.column == column
+    with pytest.raises(WalkParseError) as walked:
+        walk_parse(text)
+    assert (str(walked.value), walked.value.column) == (str(exc.value), column)
+
+
 class TestExactCoefficients:
     """Int and Fraction coefficients are kept exact, and `terms` shows each as a Fraction."""
 
@@ -105,6 +115,14 @@ class TestExactCoefficients:
         g = bp((1, 0, 3), (0, 1, Fraction(1, 3)), (1, 0, Fraction(-3)))
         assert g == bp((0, 1, Fraction(1, 3)))
         assert all(type(c) is Fraction for c in B({(0, 0): 7, (1, 1): Fraction(2, 4)}).terms.values())
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("0.1*x", 2), ("2.0*x", 2), ("1e3*x", 2), ("x + 0.5", 6), ("y - 3.25*x^2", 6)],
+    )
+    def test_inexact_coefficient_text_rejected(self, text, column):
+        # the parser is the one checked way in: a decimal or exponent numeral is refused, never rounded
+        assert_parse_refused(text, column)
 
 
 class TestExponents:
@@ -116,6 +134,14 @@ class TestExponents:
         for p in (g, q, r, B({(1, 2): 1}), bp((4, 1, 1))):
             for m in p.terms:
                 assert type(m) is tuple and [type(e) for e in m] == [int, int]
+
+    @pytest.mark.parametrize("text, column", [("x^-1", 2), ("y^-3", 2), ("3*x^-2*y", 4)])
+    def test_negative_exponent_text_rejected(self, text, column):
+        assert_parse_refused(text, column)
+
+    @pytest.mark.parametrize("text, column", [("x^1.5", 4), ("x^2.0", 4), ("x*y^0.5", 6), ("x^1e2", 4)])
+    def test_non_int_exponent_text_rejected(self, text, column):
+        assert_parse_refused(text, column)
 
 
 class TestMonomialOrder:
