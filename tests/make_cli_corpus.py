@@ -4,8 +4,10 @@
 
 writes tests/data/cli_corpus.json (or OUT) and prints the sha256 of the
 file, so two interpreters or two commits can be compared by one digest.
-tests/test_cli_corpus.py replays every entry through `cli.main` and
-requires the same exit code and the same bytes on both streams.
+tests/replay_corpus.py replays every entry through `cli.main` and requires
+the same exit code and the same bytes on both streams; tests/test_cli_corpus.py
+runs that replay under pytest, and CI runs it against the installed package
+after `pip install .`, from outside the checkout.
 
 Every command reaches a semialg handler: argparse usage errors are left
 out, because their wording differs between Python versions.
@@ -201,6 +203,27 @@ def commands():
         yield ["hilbert", "full_ring_degree", "-", "-", n, "--json"], None
     yield ["hilbert", "full_ring_frobenius", "2", "3", "1600", "--json"], None
     yield ["hilbert", "semigroup_ring", "3", "5", "2000", "--json"], None
+
+    # single shapes beside the grids above: a weight of 1, mixed and unreduced denominators, a
+    # leading '-' with no blank, -hx as an expression, a common factor and the quotient cap;
+    # implicit products, a non-ASCII digit and misplaced '*' and '/'
+    for expr, a, b in [("x", "1", "2"), ("x^4 - 1/2*x*y + 7", "2", "3"),
+                       ("1/2*x^4 - 1/3*x*y + 1/6 - 2/4*x^4 + 3/4*x^7", "2", "3"), ("-x^4", "2", "3"),
+                       ("-hx", "2", "3"), ("x", "4", "6"), ("x^100000000", "2", "3")]:
+        yield ["divide", expr, a, b], None
+    for expr in ("-x^3+y^2", "3x^2y - 1/2*y^4 + 7", "٣x", "*y", "2*", "/3*x"):
+        yield ["kernel", expr, "2", "3"], None
+    yield ["frobenius", "3", "5", "--witness=8"], None
+    yield ["frobenius", "3", "5", "--witness", "-1"], None
+    # verify and rank-nullity on a table of 4,002,002 cells whose 3ab + 1 is past the default cap,
+    # a pair with --sweep, and series text and JSON at small orders
+    for argv in (["verify", "300", "307"], ["verify", "2000", "2001"], ["verify", "3", "5", "--sweep", "4"],
+                 ["rank-nullity", "2000", "2001"], ["hilbert", "semigroup_ring", "3", "5", "10"],
+                 ["hilbert", "semigroup_ring", "3", "5", "10", "--json"],
+                 ["hilbert", "full_ring_degree", "-", "-", "12"], ["hilbert", "univariate", "3", "5", "4"]):
+        yield argv, None
+    # the kernel series reads no semigroup table, so a cap of 100 does not refuse it
+    yield ["hilbert", "kernel", "11", "13", "20"], "100"
 
 
 def build() -> list[dict]:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1004,7 +1006,8 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, usage",
         [(["-h"], "semialg [-h]"), (["--help"], "semialg [-h]"), (["frobenius", "-h"], "semialg frobenius [-h]"),
-         (["hilbert", "--help"], "semialg hilbert [-h]"), (["kernel", "-h"], "semialg kernel [-h]")],
+         (["hilbert", "--help"], "semialg hilbert [-h]"), (["kernel", "-h"], "semialg kernel [-h]"),
+         (["frobenius", "--help"], "semialg frobenius [-h]")],
     )
     def test_help_is_unchanged(self, capsys, argv, usage):
         with pytest.raises(SystemExit) as exc:
@@ -1013,6 +1016,15 @@ class TestParser:
         assert exc.value.code == 0 and err == ""
         assert out.startswith(f"usage: {usage}")
         assert oracle_outcome(argv) == (0, out, "")
+
+
+def test_console_script_is_cli_main():
+    # pip reads [project.scripts] only when it installs; a wrong target would show nowhere else offline
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["semialg"]
+    assert target == "semialg.cli:main"
+    assert EntryPoint("semialg", target, "console_scripts").load() is cli.main
 
 
 class TestClosedStdout:
