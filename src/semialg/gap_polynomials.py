@@ -1,14 +1,14 @@
-"""The gap polynomial and the dense two-generator functional equation.
+"""The gap polynomial and the dense two-generator functional equation, bench-only.
 
 f_A(q) has coefficient 1 at each gap of S(A); verify_functional_equation checks
 its functional equation exactly, with dense IntPolynomial products. verify reads
 its verdicts off the sparse K-polynomial of graded_hilbert instead, so no command
-reads this module: it is library API only.
+reads this module: it stays only because bench/tracing.py patches its names.
 """
 
 from __future__ import annotations
 
-from itertools import compress, starmap, zip_longest
+from itertools import starmap, zip_longest
 from operator import add, sub
 
 from .semigroup_core import GeneratorSet, build_table, validate_pair
@@ -62,15 +62,11 @@ class IntPolynomial:
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        other_terms = other.terms()
-        for i, ci in self.terms():
-            for j, cj in other_terms:
-                out[i + j] += ci * cj
+        for i, ci in enumerate(self.coefficients):
+            if ci:
+                for n, cj in enumerate(other.coefficients, i):
+                    out[n] += ci * cj
         return IntPolynomial(out)
-
-    def terms(self) -> list[tuple[int, int]]:
-        """Nonzero (exponent, coefficient) pairs, ascending."""
-        return list(compress(enumerate(self.coefficients), self.coefficients))
 
 
 Q_MINUS_1 = IntPolynomial((-1, 1))

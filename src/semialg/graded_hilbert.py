@@ -22,7 +22,7 @@ SERIES_KINDS = (
 
 
 class TruncatedSeries:
-    """Exact integer coefficients c_0..c_N of a formal power series mod q^{N+1}.
+    """Exact integer coefficients c_0..c_N of a formal power series mod q^{N+1}, bench-only.
 
     No code in semialg builds one: hilbert_series returns plain coefficient
     tuples. The class and its product stay because bench/tracing.py patches

@@ -34,8 +34,20 @@ def naive_members(generators, limit):
     return member
 
 
-def naive_gaps(generators, limit):
-    return [n for n, m in enumerate(naive_members(generators, limit)) if not m]
+def naive_gaps(generators, limit=None):
+    """The gaps up to limit, from naive_members; with no limit, every gap.
+
+    With no limit, the limit doubles from max(A) until the top min(A)
+    numbers below it are all members: every larger n is one of them plus a
+    multiple of min(A), so no gap lies past it.
+    """
+    if limit is not None:
+        member = naive_members(generators, limit)
+    else:
+        limit = max(generators)
+        while not all((member := naive_members(generators, limit))[-min(generators):]):
+            limit *= 2
+    return [n for n, m in enumerate(member) if not m]
 
 
 def naive_is_symmetric(generators):
@@ -57,6 +69,39 @@ def naive_partition_count(a, b, n):
             if a * i + b * j == n:
                 count += 1
     return count
+
+
+def partition_tally(a, b, order):
+    """p_{a,b}(0..order): one count at a*i + b*j for each (i, j) with a*i + b*j <= order."""
+    counts = [0] * (order + 1)
+    for i in range(order // a + 1):
+        for j in range((order - a * i) // b + 1):
+            counts[a * i + b * j] += 1
+    return counts
+
+
+def euler_product(a, b, order):
+    """The coefficients of 1/((1-q^a)(1-q^b)) up to q^order: the multiples of a, then one pass adding p(n - b)."""
+    p = [int(n % a == 0) for n in range(order + 1)]
+    for n in range(b, order + 1):
+        p[n] += p[n - b]
+    return p
+
+
+def sequence_failures(a, b, orders):
+    """For each N in orders, the least n <= N with dim E_n != dim R_n + dim K_n, or None.
+
+    The dimensions of 0 -> E(-ab) -> E -> R -> 0 are tabulated once, to the
+    largest order: dim E_n by euler_product, dim K_n the same behind ab zeros
+    (x^b - y^a has degree ab), and dim R_n by naive_members. Each N reads
+    the prefix 0..N of the one first failure.
+    """
+    top = max(orders)
+    full = euler_product(a, b, top)
+    kernel = ([0] * (a * b) + full)[: top + 1]
+    ring = naive_members((a, b), top)
+    first = next((n for n, (e, r, k) in enumerate(zip(full, ring, kernel)) if e != r + k), None)
+    return [first if first is not None and first <= nmax else None for nmax in orders]
 
 
 def forward_dp_members(generators):
@@ -108,6 +153,17 @@ def sparse_mul(f, g):
     return {n: c for n, c in out.items() if c != 0}
 
 
+def monomial_image(terms, a, b):
+    """The image of {(i, j): coefficient} under x -> t^a, y -> t^b as {degree: coefficient}.
+
+    Each coefficient is summed into degree a*i + b*j; zero sums are dropped.
+    """
+    out = {}
+    for (i, j), c in terms.items():
+        out[a * i + b * j] = out.get(a * i + b * j, 0) + c
+    return {n: c for n, c in out.items() if c != 0}
+
+
 def bivariate_mul(f, g):
     """Product of two {(i, j): coefficient} dicts by the full double loop; zero sums are dropped."""
     out = {}
@@ -153,6 +209,21 @@ def dense_reciprocal_duality(a, b, f=None, g=None):
         return False
     q_minus_1 = {1: 1, 0: -1}
     inner = sparse_add({a * b - a - b + 1: 1}, {n: -c for n, c in sparse_mul(q_minus_1, f_hat).items()})
+    lhs = sparse_mul(sparse_mul({a: 1, 0: -1}, {b: 1, 0: -1}), inner)
+    return lhs == sparse_mul(q_minus_1, {a * b: 1, 0: -1})
+
+
+def dense_functional_equation(a, b, f=None):
+    """(q^a - 1)(q^b - 1)((q - 1) f_A + 1) == (q - 1)(q^ab - 1) for S(a, b), by dense products.
+
+    f_A, 1 at each gap, is read off naive_members unless given as a
+    {degree: coefficient} dict. With a weight of 1 there is no gap, and f_A
+    is zero.
+    """
+    member = naive_members((a, b), a * b)
+    f = {n: 1 for n, m in enumerate(member) if not m} if f is None else f
+    q_minus_1 = {1: 1, 0: -1}
+    inner = sparse_add(sparse_mul(q_minus_1, f), {0: 1})
     lhs = sparse_mul(sparse_mul({a: 1, 0: -1}, {b: 1, 0: -1}), inner)
     return lhs == sparse_mul(q_minus_1, {a * b: 1, 0: -1})
 

@@ -10,9 +10,9 @@ from oracles import (
     WalkParseError,
     binomial_normal_form,
     bivariate_mul,
+    monomial_image,
     poly_from_terms,
     sparse_add,
-    sparse_mul,
     term_matches,
     walk_parse,
 )
@@ -271,7 +271,7 @@ def all_fractions(*polys):
 
 
 class TestIntegerNumerators:
-    """divide and phi_evaluate work over integer numerators but return Fractions only."""
+    """divide works over integer numerators but returns Fractions only."""
 
     def test_large_lcm_denominators(self):
         for a, b in [(2, 3), (3, 5), (1, 4)]:
@@ -279,9 +279,8 @@ class TestIntegerNumerators:
             assert all_fractions(q, r)
             assert rebuilt(q, r, a, b) == PRIME_DENOMINATORS.terms
             assert r.terms == binomial_normal_form(PRIME_DENOMINATORS.terms, a, b)
-            image = biv.phi_evaluate(PRIME_DENOMINATORS, a, b)
-            assert image and all(type(c) is Fraction for c in image.values())
-            assert image == biv.phi_evaluate(r, a, b)
+            image = monomial_image(PRIME_DENOMINATORS.terms, a, b)
+            assert image and image == monomial_image(r.terms, a, b)
 
     def test_integral_quotient_and_remainder_are_fractions(self):
         q, r = biv.divide(bp((4, 0, 2), (0, 0, 6)), 2, 3)
@@ -291,7 +290,8 @@ class TestIntegerNumerators:
     def test_members_map_to_empty_dict(self):
         for a, b in [(2, 3), (3, 5), (1, 4)]:
             member = B(bivariate_mul(PRIME_DENOMINATORS.terms, divisor(a, b)))
-            assert biv.phi_evaluate(member, a, b) == {}
+            assert monomial_image(member.terms, a, b) == {}
+            assert biv.in_kernel(member, a, b)
             q, r = biv.divide(member, a, b)
             assert q == PRIME_DENOMINATORS and r.is_zero() and all_fractions(q)
 
@@ -478,34 +478,6 @@ class TestDivideAgainstSympy:
             assert all_fractions(*biv.divide(g, 2, 3))
 
 
-class TestPhiEvaluate:
-    def test_divisor_maps_to_zero(self):
-        for a, b in [(2, 3), (3, 5), (4, 9)]:
-            assert biv.phi_evaluate(B(divisor(a, b)), a, b) == {}
-
-    def test_kernel_member_maps_to_empty_dict(self):
-        assert biv.phi_evaluate(biv.parse_bivariate("x^3 - y^2"), 2, 3) == {}
-
-    def test_unital(self):
-        assert biv.phi_evaluate(bp((0, 0, 1)), 3, 5) == {0: 1}
-
-    def test_xy(self):
-        assert biv.phi_evaluate(bp((1, 1, 1)), 3, 5) == {8: 1}
-
-    def test_huge_exponent_stays_sparse(self):
-        g = biv.parse_bivariate("x^1000000000000 - y^3")
-        assert biv.phi_evaluate(g, 2, 3) == {2 * 10**12: 1, 9: -1}
-
-    def test_homomorphism_laws(self):
-        rng = random.Random(22)
-        for _ in range(30):
-            a, b = random_coprime_pair(rng)
-            g1, g2 = random_poly(rng, 10, 8), random_poly(rng, 10, 8)
-            phi1, phi2 = biv.phi_evaluate(g1, a, b), biv.phi_evaluate(g2, a, b)
-            assert biv.phi_evaluate(B(sparse_add(g1.terms, g2.terms)), a, b) == sparse_add(phi1, phi2)
-            assert biv.phi_evaluate(B(bivariate_mul(g1.terms, g2.terms)), a, b) == sparse_mul(phi1, phi2)
-
-
 class TestInKernel:
     def test_divisor_in_kernel(self):
         for method in ("evaluate", "divide"):
@@ -571,10 +543,9 @@ class TestInKernel:
         ],
     )
     def test_nonpositive_weights_rejected(self, a, b, message):
-        for check in (biv.in_kernel, biv.phi_evaluate):
-            with pytest.raises(ValueError) as info:
-                check(bp((1, 0, 1)), a, b)
-            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            biv.in_kernel(bp((1, 0, 1)), a, b)
+        assert str(info.value) == message
 
     def test_methods_agree_randomized(self):
         rng = random.Random(23)

@@ -1,116 +1,39 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semialg import gap_polynomials as gp
 from semialg import graded_hilbert as gh
 from semialg import semigroup_core as sc
 
-from oracles import dense_reciprocal_duality, naive_members, naive_partition_count, sparse_mul
-
-TS = gh.TruncatedSeries
-
-
-def dense_failure(a, b, nmax):
-    """The least n <= nmax with dim E_n != dim R_n + dim K_n, read off the dense tables of
-    graded_dims: the denumerants and the gap indicator, not the Apery comparison that
-    rank_nullity_failure and pair_checks read."""
-    full, ring, kernel = gh.graded_dims(a, b, nmax)
-    return next((n for n, (e, r, k) in enumerate(zip(full, ring, kernel)) if e != r + k), None)
-
-
-class TestTruncatedSeries:
-    def test_mul_truncates(self):
-        g = TS(5, [1] * 6)
-        assert (g * g).coefficients == (1, 2, 3, 4, 5, 6)
+from oracles import (
+    dense_functional_equation,
+    dense_reciprocal_duality,
+    euler_product,
+    naive_gaps,
+    naive_members,
+    naive_partition_count,
+    sequence_failures,
+    sparse_mul,
+)
 
 
-class TestPartitionCount:
-    def test_examples(self):
-        assert gh.partition_count(3, 5, 0) == 1
-        assert gh.partition_count(3, 5, 15) == 2
-        for n in range(0, 30):
-            assert gh.partition_count(1, 1, n) == n + 1
-
-    def test_against_naive(self):
-        for a, b in [(3, 5), (2, 3), (4, 6), (1, 1), (2, 2)]:
-            for n in range(0, 40):
-                assert gh.partition_count(a, b, n) == naive_partition_count(a, b, n)
-
-    def test_below_ab_at_most_one(self):
-        # injectivity of (i,j) -> ai+bj below ab, coprime case
-        for a in range(2, 13):
-            for b in range(a + 1, 13):
-                if math.gcd(a, b) == 1:
-                    for n in range(a * b):
-                        assert gh.partition_count(a, b, n) <= 1
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
 
 
-class TestDimensionTables:
-    def test_3_5_spot_values(self):
-        full, ring, kernel = gh.graded_dims(3, 5, 20)
-        assert (full[15], ring[15], kernel[15]) == (2, 1, 1)
-        assert (full[7], ring[7], kernel[7]) == (0, 0, 0)
-        assert (full[0], ring[0], kernel[0]) == (1, 1, 0)
+def bump_denumerant(monkeypatch, degree):
+    """gh._denumerants with p(degree(a, b)) raised by one, where the table reaches it."""
+    true_denumerants = gh._denumerants
 
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            gh.graded_dims(4, 6, 10)
+    def bumped(a, b, nmax):
+        p = true_denumerants(a, b, nmax)
+        if degree(a, b) <= nmax:
+            p[degree(a, b)] += 1
+        return p
 
-    def test_denumerant_tables_match_partition_count(self):
-        for a in range(2, 21):
-            for b in range(a + 1, 21):
-                if math.gcd(a, b) != 1:
-                    continue
-                ab = a * b
-                top = ab + a + b
-                p = [gh.partition_count(a, b, n) for n in range(top + 1)]
-                for nmax in (0, ab - 1, ab, top):
-                    full, _, kernel = gh.graded_dims(a, b, nmax)
-                    assert full == tuple(p[: nmax + 1])
-                    assert kernel == tuple(
-                        p[n - ab] if n >= ab else 0 for n in range(nmax + 1)
-                    )
-
-    @pytest.mark.parametrize("nmax", [-1, -5])
-    def test_negative_order_rejected(self, nmax):
-        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
-            gh.graded_dims(3, 5, nmax)
-
-    def test_dim_ring_is_membership(self):
-        table = sc.build_table(sc.validate_generators([4, 7]))
-        _, ring, _ = gh.graded_dims(4, 7, 60)
-        for n in range(61):
-            assert ring[n] == (1 if table.is_member(n) else 0)
-
-    def test_dim_ring_and_semigroup_series_match_naive_members(self):
-        # N < F stops the gap slices of some residues short of Ap[r]; N >= F keeps every gap
-        for a in range(2, 21):
-            for b in range(a + 1, 21):
-                if math.gcd(a, b) != 1:
-                    continue
-                F = a * b - a - b
-                members = naive_members((a, b), 3 * a * b)
-                for nmax in (0, F - 1, F, F + 1, 3 * a * b):
-                    expected = tuple(int(m) for m in members[: nmax + 1])
-                    _, ring, _ = gh.graded_dims(a, b, nmax)
-                    assert ring == expected
-                    assert gh.hilbert_series("semigroup_ring", a, b, nmax) == expected
-
-    def test_order_over_cap_refused(self, monkeypatch):
-        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "50")
-        full, _, _ = gh.graded_dims(3, 5, 49)
-        assert len(full) == 50
-        message = "series of 51 coefficients exceeds SEMIGROUP_MAX_BOUND=50"
-        with pytest.raises(sc.BoundTooLargeError, match=message):
-            gh.graded_dims(3, 5, 50)
-        with pytest.raises(sc.BoundTooLargeError, match=message):
-            gh.hilbert_series("univariate", None, None, 50)
-        # rank_nullity_failure allocates nothing order-sized: only its table of 18 cells is capped
-        assert gh.rank_nullity_failure(3, 5, 50) is None
-        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "17")
-        with pytest.raises(sc.BoundTooLargeError, match="table of 18 cells exceeds SEMIGROUP_MAX_BOUND=17"):
-            gh.rank_nullity_failure(3, 5, 50)
+    monkeypatch.setattr(gh, "_denumerants", bumped)
 
 
 class TestRankNullity:
@@ -152,7 +75,7 @@ class TestHilbertSeries:
     def test_full_ring_frobenius(self):
         s = gh.hilbert_series("full_ring_frobenius", 3, 5, 40)
         for n in range(41):
-            assert s[n] == gh.partition_count(3, 5, n)
+            assert s[n] == naive_partition_count(3, 5, n)
 
     def test_semigroup_ring_is_membership_indicator(self):
         table = sc.build_table(sc.validate_generators([3, 5]))
@@ -169,14 +92,40 @@ class TestHilbertSeries:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 31, 199, 200, 211])
     def test_closed_forms_match_dense_products(self, order):
-        g1 = TS(order, [1] * (order + 1))
-        assert gh.hilbert_series("full_ring_degree", None, None, order) == (g1 * g1).coefficients
+        def truncated(series):
+            return tuple(series.get(n, 0) for n in range(order + 1))
+
+        g1 = dict.fromkeys(range(order + 1), 1)
+        assert gh.hilbert_series("full_ring_degree", None, None, order) == truncated(sparse_mul(g1, g1))
         for a, b in [(2, 3), (3, 5), (4, 7), (9, 11), (13, 17)]:
-            q_a, q_b = (TS(order, [int(n % m == 0) for n in range(order + 1)]) for m in (a, b))
-            product = q_a * q_b
-            assert gh.hilbert_series("full_ring_frobenius", a, b, order) == product.coefficients
-            q_ab = TS(order, [int(n == a * b) for n in range(order + 1)])
-            assert gh.hilbert_series("kernel", a, b, order) == (product * q_ab).coefficients
+            q_a, q_b = (dict.fromkeys(range(0, order + 1, m), 1) for m in (a, b))
+            product = sparse_mul(q_a, q_b)
+            assert gh.hilbert_series("full_ring_frobenius", a, b, order) == truncated(product)
+            assert gh.hilbert_series("kernel", a, b, order) == truncated(sparse_mul(product, {a * b: 1}))
+
+    def test_semigroup_series_matches_naive_members(self):
+        # N < F stops the gap slices of some residues short of Ap[r]; N >= F keeps every gap
+        for a in range(2, 21):
+            for b in range(a + 1, 21):
+                if math.gcd(a, b) != 1:
+                    continue
+                F = a * b - a - b
+                members = naive_members((a, b), 3 * a * b)
+                for nmax in (0, F - 1, F, F + 1, 3 * a * b):
+                    expected = tuple(int(m) for m in members[: nmax + 1])
+                    assert gh.hilbert_series("semigroup_ring", a, b, nmax) == expected
+
+    def test_order_over_cap_refused(self, monkeypatch):
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "50")
+        assert len(gh.hilbert_series("univariate", None, None, 49)) == 50
+        message = "series of 51 coefficients exceeds SEMIGROUP_MAX_BOUND=50"
+        with pytest.raises(sc.BoundTooLargeError, match=message):
+            gh.hilbert_series("univariate", None, None, 50)
+        # rank_nullity_failure allocates nothing order-sized: only its table of 18 cells is capped
+        assert gh.rank_nullity_failure(3, 5, 50) is None
+        monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "17")
+        with pytest.raises(sc.BoundTooLargeError, match="table of 18 cells exceeds SEMIGROUP_MAX_BOUND=17"):
+            gh.rank_nullity_failure(3, 5, 50)
 
     def test_semigroup_ring_builds_no_denumerants(self, monkeypatch):
         def refused(*args):
@@ -236,10 +185,9 @@ class TestWeightOne:
             assert gh.hilbert_series("semigroup_ring", a, c, order) == tuple(ring.values())
             assert gh.hilbert_series("full_ring_frobenius", a, c, order) == full
             assert gh.hilbert_series("kernel", a, c, order) == kernel
-            assert gh.graded_dims(a, c, order) == (full, tuple(ring.values()), kernel)
             assert all(gh.pair_checks(a, c).values())
             assert gh.rank_nullity_failure(a, c, 10 * b) is None
-            assert gp.verify_functional_equation(a, c)
+            assert dense_functional_equation(a, c)
 
 
 class TestEulerProduct:
@@ -252,9 +200,7 @@ class TestEulerProduct:
 
     def test_order_500(self):
         for a, b in [(3, 5), (2, 3), (5, 8)]:
-            q_a, q_b = (TS(500, [int(n % m == 0) for n in range(501)]) for m in (a, b))
-            product = q_a * q_b
-            assert gh.hilbert_series("full_ring_frobenius", a, b, 500) == product.coefficients
+            assert gh.hilbert_series("full_ring_frobenius", a, b, 500) == tuple(euler_product(a, b, 500))
 
 
 class TestSeriesIdentity:
@@ -264,11 +210,11 @@ class TestSeriesIdentity:
     def assert_identity(a, b, order):
         full = gh.hilbert_series("full_ring_frobenius", a, b, order)
         ring = gh.hilbert_series("semigroup_ring", a, b, order)
-        f = gp.gap_polynomial(sc.validate_pair(a, b)).coefficients
+        gaps = set(naive_gaps((a, b), a * b))
         ab = a * b
         for n in range(order + 1):
             assert full[n] - (full[n - ab] if n >= ab else 0) == ring[n]
-            assert ring[n] == 1 - (f[n] if n < len(f) else 0)
+            assert ring[n] == 1 - (n in gaps)
 
     def test_examples(self):
         self.assert_identity(3, 5, 100)
@@ -283,14 +229,12 @@ class TestSeriesIdentity:
 
 
 class TestExactSequenceFaults:
-    """A fault in either source of the exact sequence fails every check that reaches its degree.
+    """A fault in the Apery comparison fails every check that reaches its degree.
 
-    The dense oracle dense_failure(a, b, N) reads graded_dims, the denumerants and the gap
-    indicator, and reaches the degrees up to N. rank_nullity_failure and verify's rank_nullity
-    and series_identity read one comparison of the Apery set with Sylvester's thresholds, which
-    reaches every degree: a threshold moved to a gap d makes rank_nullity_failure(a, b, N)
-    return d for N >= d and None below, and fails both verify keys, while the two K checks,
-    which do not read the thresholds, still pass.
+    rank_nullity_failure and verify's rank_nullity and series_identity read one comparison of
+    the Apery set with Sylvester's thresholds, which reaches every degree: a threshold moved to
+    a gap d makes rank_nullity_failure(a, b, N) return d for N >= d and None below, and fails
+    both verify keys, while the two K checks, which do not read the thresholds, still pass.
     """
 
     @staticmethod
@@ -306,14 +250,6 @@ class TestExactSequenceFaults:
 
         monkeypatch.setattr(gh, "_sylvester_apery", moved)
 
-    @classmethod
-    def verify_checks(cls, monkeypatch, a, b, degree):
-        """pair_checks(a, b) with the dense faults undone and the threshold of degree's residue
-        class moved to degree."""
-        monkeypatch.undo()
-        cls.move_threshold(monkeypatch, degree)
-        return gh.pair_checks(a, b)
-
     SEQUENCE_FAILS = {
         "functional_equation": True,
         "reciprocal_duality": True,
@@ -321,55 +257,13 @@ class TestExactSequenceFaults:
         "rank_nullity": False,
     }
 
-    @staticmethod
-    def bump_denumerant(monkeypatch, degree):
-        true_denumerants = gh._denumerants
-
-        def bumped(a, b, nmax):
-            p = true_denumerants(a, b, nmax)
-            if degree(a, b) <= nmax:
-                p[degree(a, b)] += 1
-            return p
-
-        monkeypatch.setattr(gh, "_denumerants", bumped)
-
+    # the gap 1, the member a below ab, and the members ab and 2ab
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
-    def test_flipped_ring_indicator_fails(self, monkeypatch, a, b):
-        true_indicator = sc.SemigroupTable.gap_indicator
-
-        def flipped(table, nmax):
-            is_gap = true_indicator(table, nmax)
-            is_gap[1] ^= 1  # 1 is a gap of every admissible pair
-            return is_gap
-
-        monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", flipped)
-        assert dense_failure(a, b, 3 * a * b) == 1
-        assert dense_failure(a, b, 3 * a * b) is not None
-        assert self.verify_checks(monkeypatch, a, b, 1) == self.SEQUENCE_FAILS
-
-    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
-    def test_bumped_denumerant_fails(self, monkeypatch, a, b):
-        # ab is the first degree where dim K_n is nonzero
-        self.bump_denumerant(monkeypatch, lambda a, b: a * b)
-        assert dense_failure(a, b, 3 * a * b) == a * b
-        assert dense_failure(a, b, 3 * a * b) is not None
-        assert self.verify_checks(monkeypatch, a, b, a * b) == self.SEQUENCE_FAILS
-
-    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
-    def test_denumerant_bumped_below_ab_fails(self, monkeypatch, a, b):
-        # p(a) = 1 is a degree where dim K_n is zero, so dim E_n alone must match dim R_n
-        self.bump_denumerant(monkeypatch, lambda a, b: a)
-        assert dense_failure(a, b, 3 * a * b) == a
-        assert self.verify_checks(monkeypatch, a, b, a) == self.SEQUENCE_FAILS
-
-    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
-    def test_fault_at_2ab_fails_both_verify_keys(self, monkeypatch, a, b):
-        # a dense pass stopped below 2ab misses the fault; verify's comparison has no order, so
-        # rank_nullity and series_identity fail together
-        self.bump_denumerant(monkeypatch, lambda a, b: 2 * a * b)
-        assert dense_failure(a, b, 3 * a * b) == 2 * a * b
-        assert dense_failure(a, b, a * b + 10) is None
-        assert self.verify_checks(monkeypatch, a, b, 2 * a * b) == self.SEQUENCE_FAILS
+    @pytest.mark.parametrize("degree", ["1", "a", "ab", "2ab"])
+    def test_moved_threshold_fails_both_verify_keys(self, monkeypatch, a, b, degree):
+        # verify's comparison has no order, so rank_nullity and series_identity fail together
+        self.move_threshold(monkeypatch, {"1": 1, "a": a, "ab": a * b, "2ab": 2 * a * b}[degree])
+        assert gh.pair_checks(a, b) == self.SEQUENCE_FAILS
 
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     @pytest.mark.parametrize("gap", ["1", "F"])
@@ -385,9 +279,69 @@ class TestExactSequenceFaults:
     @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
     def test_dense_faults_do_not_reach_the_route(self, monkeypatch, a, b):
         # rank_nullity_failure reads neither the denumerants nor the gap indicator
-        self.bump_denumerant(monkeypatch, lambda a, b: a)
+        bump_denumerant(monkeypatch, lambda a, b: a)
         monkeypatch.setattr(sc.SemigroupTable, "gap_indicator", None)
         assert gh.rank_nullity_failure(a, b, 3 * a * b) is None
+
+
+class TestKPolynomial:
+    """K(q) = N(q) * prod_{i>=2} (1 - q^{a_i}) from the Apery set, against the dense oracles."""
+
+    def test_pairs(self):
+        assert gh.k_polynomial(sc.build_table(sc.validate_pair(3, 5))) == {0: 1, 15: -1}
+        assert gh.k_polynomial(sc.build_table(sc.validate_pair(2, 3))) == {0: 1, 6: -1}
+
+    def test_sparse_checks_match_the_dense_ones(self):
+        pairs = [(a, b) for a in range(2, 41) for b in range(a + 1, 41) if math.gcd(a, b) == 1]
+        # a weight of 1: S(1, b) = N has F = -1 and f_A = g_A = 0
+        pairs += [p for b in range(2, 13) for p in ((1, b), (b, 1))]
+        for a, b in pairs:
+            checks = gh.pair_checks(a, b)
+            assert checks["functional_equation"] == dense_functional_equation(a, b)
+            assert checks["reciprocal_duality"] == dense_reciprocal_duality(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(2, 60), min_size=3, max_size=4).filter(lambda s: math.gcd(*s) == 1))
+    def test_frobenius_terms_and_root_at_one(self, elements):
+        A = sc.validate_generators(list(elements))
+        table = sc.build_table(A)
+        k = gh.k_polynomial(table)
+        # Schur's bound F <= (a1 - 1)(ak - 1) - 1; a1 members in a row at the top confirm it
+        a1, ak = A.elements[0], A.elements[-1]
+        limit = (a1 - 1) * (ak - 1) + a1
+        F = max(naive_gaps(A.elements, limit), default=-1)
+        assert F <= limit - a1
+        assert max(k) - sum(A.elements) == table.frobenius == F
+        if A.k == 3:
+            assert len(k) <= 6  # Herzog 1970: at most three relations and two syzygies
+        assert sum(k.values()) == 0  # K(1) = 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sets(st.integers(2, 60), min_size=3, max_size=4).filter(lambda s: math.gcd(*s) == 1))
+    def test_vanishes_to_order_k_minus_1_at_one(self, sympy, elements):
+        # H_R has a simple pole at q = 1 and each of the k factors (1 - q^{a_i}) a simple zero
+        A = sc.validate_generators(list(elements))
+        k = gh.k_polynomial(sc.build_table(A))
+        q = sympy.Symbol("q")
+        poly = sympy.Poly(sum(c * q**e for e, c in k.items()), q)
+        quotient, remainder = sympy.div(poly, sympy.Poly((q - 1) ** (A.k - 1), q))
+        assert remainder.is_zero
+        assert quotient.eval(1) != 0
+
+
+class TestDenseOracles:
+    """The oracles of the exact sequence and of the functional equation can fail."""
+
+    @pytest.mark.parametrize("a, b", [(3, 5), (4, 7), (5, 9)])
+    def test_flipped_gap_fails_the_functional_equation(self, a, b):
+        f = dict.fromkeys(naive_gaps((a, b)), 1)
+        assert dense_functional_equation(a, b, f=f)
+        del f[1]  # 1 is a gap of every admissible pair; the degree F stays
+        assert not dense_functional_equation(a, b, f=f)
+
+    def test_failing_pair_is_read_by_prefix(self):
+        # S(2, 4) is not numerical: p(4) = 2 counts 2 + 2 and 4, and dim R_4 + dim K_4 is 1 + 0
+        assert sequence_failures(2, 4, (0, 3, 4, 24)) == [None, None, 4, 4]
 
 
 class TestSylvesterRoute:
@@ -404,12 +358,14 @@ class TestSylvesterRoute:
                 if a == b or math.gcd(a, b) != 1:
                     continue
                 checks = gh.pair_checks(a, b)
-                assert checks["rank_nullity"] == (dense_failure(a, b, 3 * a * b) is None)
                 F, ab = a * b - a - b, a * b
-                for nmax in (0, F, ab, 3 * ab):
-                    assert gh.rank_nullity_failure(a, b, nmax) == dense_failure(a, b, nmax)
+                orders = (0, F, ab, 3 * ab)
+                failures = sequence_failures(a, b, orders)
+                assert checks["rank_nullity"] == (failures[-1] is None)
+                for nmax, failure in zip(orders, failures):
+                    assert gh.rank_nullity_failure(a, b, nmax) == failure
                 assert checks["series_identity"] == checks["rank_nullity"]
-                assert checks["functional_equation"] == gp.verify_functional_equation(a, b)
+                assert checks["functional_equation"] == dense_functional_equation(a, b)
                 assert checks["reciprocal_duality"] == dense_reciprocal_duality(a, b)
                 assert all(checks.values())
 
@@ -431,7 +387,7 @@ class TestAperySetFaults:
         def faulty(A):
             return fault(true_build(A))
 
-        for module in (sc, gp, gh):
+        for module in (sc, gh):
             monkeypatch.setattr(module, "build_table", faulty)
 
     @staticmethod

@@ -1,15 +1,19 @@
-"""Every name the benchmark tracer patches must still exist in semialg, and every size it records must read.
+"""semialg's names: its public API, and every name the benchmark tracer patches, with the sizes it records.
 
-bench/tracing.py resolves each (owner, attribute) of its TRACED list by getattr,
-so deleting or renaming one breaks `bench/run.py --trace 1`. Its size functions
-read attributes of the arguments and results (a table's bound and generators, a
+The package exports what the commands read and nothing else. bench/tracing.py
+resolves each (owner, attribute) of its TRACED list by getattr, so deleting or
+renaming one breaks `bench/run.py --trace 1`. Its size functions read
+attributes of the arguments and results (a table's bound and generators, a
 polynomial's terms, a product's coefficients), so dropping one of those breaks
 the traced run too. The list is read from that file as it stands.
 """
 
 import importlib.util
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -28,6 +32,44 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+LIVE_API = {
+    "GeneratorSet", "NotNumericalSemigroupError", "SemigroupTable", "build_table", "conductor_bound",
+    "validate_generators", "BivariatePolynomial", "DivisionResult", "divide", "in_kernel", "parse_bivariate",
+    "hilbert_series", "k_polynomial", "pair_checks", "rank_nullity_failure",
+}
+
+
+def test_public_api_is_the_live_names():
+    public = {name for name, value in vars(semialg).items()
+              if not isinstance(value, ModuleType) and (not name.startswith("_") or name == "__version__")}
+    assert public == LIVE_API | {"__version__"}
+
+
+# bench/run.py imports semialg and semialg.cli and nothing else before Tracer(semialg).install()
+TRACER_GUARD = """\
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+import semialg
+import semialg.cli
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[2])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+missing = [m for m in tracing.MODULES if not hasattr(semialg, m)]
+assert not missing, missing
+tracer = tracing.Tracer(semialg)
+tracer.install()
+tracer.uninstall()
+"""
+
+
+def test_tracer_installs_on_a_fresh_import():
+    # in this process the test modules have imported every module of semialg themselves
+    src = str(Path(semialg.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", TRACER_GUARD, src, str(TRACING)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def traced_names():
