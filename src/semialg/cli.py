@@ -441,13 +441,21 @@ def _parse(argv: list[str]):
 
     argparse reads them with the named command's own parser, or with the top-level
     parser when argv names no command first: no arguments, -h or an unknown name.
+    A repeated '--' makes argparse bind a list to a single positional: that is a usage error.
     """
     command = build_parser().get(argv[0]) if argv else None
     args = None if command is None else _read_plain(command, argv[1:])
     if args is not None:
         return args
     parser = _argparse_parser()
-    return parser.parse_args(argv) if command is None else parser.commands[argv[0]].parse_args(argv[1:])
+    if command is None:
+        return parser.parse_args(argv)
+    parser = parser.commands[argv[0]]
+    args = parser.parse_args(argv[1:])
+    for positional in command.positionals:
+        if positional.nargs != "+" and isinstance(getattr(args, positional.dest), list):
+            parser.error(f"argument {positional.dest}: expected one argument")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

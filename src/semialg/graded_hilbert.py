@@ -8,7 +8,8 @@ Apery set with Sylvester's closed form, which settles every degree at once.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import repeat
+from operator import add
 
 from .semigroup_core import COMPLEMENT, SemigroupTable, build_table, check_size, validate_pair
 
@@ -19,6 +20,8 @@ SERIES_KINDS = (
     "kernel",
     "univariate",
 )
+
+_RAMP = bytes(range(256)) * 2  # _RAMP[t : t + 256] is the translate table adding t to a byte below 256 - t
 
 
 class TruncatedSeries:
@@ -51,21 +54,28 @@ class TruncatedSeries:
 
 
 def _denumerants(a: int, b: int, nmax: int) -> list[int]:
-    """p_{a,b}(0..nmax), the coefficients of 1/((1-q^a)(1-q^b)), in O(nmax).
+    """p_{a,b}(0..nmax), the coefficients of 1/((1-q^a)(1-q^b)), for a coprime pair; [] for nmax < 0.
 
-    p(n) = p(n - a) + [b | n]: the multiples of b, summed along each residue mod a.
+    The exact sequence 0 -> E(-ab) -> E -> R -> 0 gives H_E = H_R / (1 - q^ab), and
+    every n >= ab lies in S(a, b), so p(n) = n // ab + [n mod ab in S]. The members
+    below ab are j*t + i*s with j < s, (s, t) the sorted pair: min(s, N/t + 1) slices,
+    one per j*t, lay them into a bytearray. At most 7 translates by _RAMP double
+    that block to the period 128ab, p(n + c*ab) = p(n) + c for c < 128, whose values
+    fit a byte; past it one C-level map per period adds the lift: N/(128ab) maps.
     """
-    p = [0] * (nmax + 1)
-    p[::b] = [1] * (nmax // b + 1)
-    for r in range(min(a, nmax + 1)):
-        p[r::a] = accumulate(p[r::a])
+    s, t = sorted((a, b))
+    ab, size = a * b, nmax + 1
+    block = bytearray(max(0, min(ab, size)))
+    for start in range(0, len(block), t):
+        block[start::s] = b"\1" * len(range(start, len(block), s))
+    for shift in (1, 2, 4, 8, 16, 32, 64):  # the block holds p(0..shift*ab - 1) before each
+        if len(block) >= size:
+            break
+        block += block[: size - len(block)].translate(_RAMP[shift : shift + 256])
+    p = list(block)
+    for base in range(128 * ab, size, 128 * ab):  # the block is the whole period here
+        p += map(add, block[: size - base], repeat(base // ab))
     return p
-
-
-def _kernel_dims(ab: int, full: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """dim K_n = dim E_{n-ab}: full behind ab zeros, ab the degree of x^b - y^a."""
-    zeros = min(ab, len(full))
-    return (0,) * zeros + tuple(full[: len(full) - zeros])
 
 
 def _ring_dims(a: int, b: int, nmax: int) -> bytearray:
@@ -95,7 +105,8 @@ def graded_dims(a: int, b: int, nmax: int) -> tuple[tuple[int, ...], tuple[int, 
     check_order(nmax)
     ring = tuple(_ring_dims(a, b, nmax))
     full = tuple(_denumerants(a, b, nmax))
-    return full, ring, _kernel_dims(a * b, full)
+    kernel = (0,) * min(a * b, nmax + 1) + full  # dim K_n = p(n - ab), ab the degree of x^b - y^a
+    return full, ring, kernel[: nmax + 1]
 
 
 def _sylvester_apery(s: int, t: int) -> tuple[int, ...]:
@@ -190,5 +201,7 @@ def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> tupl
     if which == "semigroup_ring":
         return tuple(_ring_dims(a, b, order))
     validate_pair(a, b)
-    full = _denumerants(a, b, order)
-    return tuple(full) if which == "full_ring_frobenius" else _kernel_dims(a * b, full)
+    if which == "full_ring_frobenius":
+        return tuple(_denumerants(a, b, order))
+    shifted = _denumerants(a, b, order - a * b)  # dim K_n = p(n - ab): no p past order - ab is built
+    return (0,) * (order + 1 - len(shifted)) + tuple(shifted)

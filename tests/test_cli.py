@@ -711,11 +711,11 @@ class TestRankNullityCommand:
             2, "", "error: table of 18 cells exceeds SEMIGROUP_MAX_BOUND=17\n"
         )
 
-    def test_refused_verify_skips_the_dense_checks(self, capsys, monkeypatch):
-        def dense_check(*args):
-            raise AssertionError("a dense check ran before the refusal")
+    def test_refused_verify_never_reaches_k_polynomial(self, capsys, monkeypatch):
+        def k_check(*args):
+            raise AssertionError("k_polynomial ran before the refusal")
 
-        monkeypatch.setattr(gh, "k_polynomial", dense_check)  # the binding pair_checks reads
+        monkeypatch.setattr(gh, "k_polynomial", k_check)  # the binding pair_checks reads
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "12")
         code, out, err = run(capsys, "verify", "3", "5")
         assert (code, out) == (2, "")
@@ -989,6 +989,22 @@ class TestParser:
             assert read is None
         else:
             assert read is None or vars(read) == vars(parsed)
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.sampled_from(sorted(cli.build_parser())), st.lists(ARGV_TOKENS, max_size=7))
+    @example("kernel", ["x", "--", "--", "7"])  # argparse binds [] to a, which reached the handler
+    @example("divide", ["x", "--", "--", "7"])
+    @example("hilbert", ["kernel", "3", "--", "--", "5"])
+    def test_main_ends_with_an_exit_code_and_at_most_one_line(self, command, rest):
+        # any argv is answered, refused or helped: no exception escapes and stderr is never a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main([command, *rest])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue() in ("", err.getvalue().partition("\n")[0] + "\n")
 
     @pytest.mark.parametrize(
         "argv, usage",

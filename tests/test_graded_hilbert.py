@@ -198,9 +198,15 @@ class TestEulerProduct:
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
             gh.hilbert_series("full_ring_frobenius", 3, 5, order)
 
-    def test_order_500(self):
-        for a, b in [(3, 5), (2, 3), (5, 8)]:
-            assert gh.hilbert_series("full_ring_frobenius", a, b, 500) == tuple(euler_product(a, b, 500))
+    # the denumerants are one byte period of 128ab coefficients, lifted by 128 per period past it
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (5, 8), (5, 2), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("periods, extra", [(0, 500), (128, -1), (128, 0), (128, 1), (300, 7)],
+                             ids=["500", "128ab-1", "128ab", "128ab+1", "300ab+7"])
+    def test_against_the_euler_product(self, a, b, periods, extra):
+        order = periods * a * b + extra
+        full = gh.hilbert_series("full_ring_frobenius", a, b, order)
+        assert full == tuple(euler_product(a, b, order))
+        assert gh.hilbert_series("kernel", a, b, order) == ((0,) * (a * b) + full)[: order + 1]
 
 
 class TestSeriesIdentity:
