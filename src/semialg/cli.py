@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from itertools import compress
+from itertools import compress, takewhile
 from types import SimpleNamespace
 
 from . import bivariate_algebra as biv
@@ -441,16 +441,19 @@ def _parse(argv: list[str]):
 
     argparse reads them with the named command's own parser, or with the top-level
     parser when argv names no command first: no arguments, -h or an unknown name.
-    A repeated '--' makes argparse bind a list to a single positional: that is a usage error.
+    Two argv whose reading differs between releases are usage errors here: -h with text
+    attached before any '--' (-h9, -h=9, -hh), unless it is the expression, and a repeated '--'.
     """
     command = build_parser().get(argv[0]) if argv else None
     args = None if command is None else _read_plain(command, argv[1:])
     if args is not None:
         return args
-    parser = _argparse_parser()
+    parser = _argparse_parser() if command is None else _argparse_parser().commands[argv[0]]
+    for arg in takewhile("--".__ne__, argv[1:] if command else argv):
+        if arg[:2] == "-h" and arg != "-h" and not (command and _is_expression(command, arg)):
+            parser.error(f"argument -h/--help: ignored explicit argument {arg[2:].removeprefix('=')!r}")
     if command is None:
         return parser.parse_args(argv)
-    parser = parser.commands[argv[0]]
     args = parser.parse_args(argv[1:])
     for positional in command.positionals:
         if positional.nargs != "+" and isinstance(getattr(args, positional.dest), list):

@@ -45,18 +45,14 @@ class GeneratorSet(NamedTuple):
 
     elements: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.elements)
-
 
 class SemigroupTable(NamedTuple):
     """S(A) described by its Apery set with respect to a1 = min(A).
 
     apery[r] is the least element of S(A) congruent to r mod a1, so n is in
-    S(A) iff n >= apery[n % a1]. frobenius is -1 when S(A) has no gaps
-    (i.e. 1 is a generator). bound is conductor_bound(A), kept as the size
-    measure SEMIGROUP_MAX_BOUND is checked against.
+    S(A) iff n >= apery[n % a1]; gaps and witnesses are read off it too.
+    frobenius is -1 when S(A) has no gaps (1 is a generator). bound is
+    conductor_bound(A), the size measure SEMIGROUP_MAX_BOUND is checked against.
     """
 
     generators: GeneratorSet
@@ -64,9 +60,6 @@ class SemigroupTable(NamedTuple):
     apery: tuple[int, ...]
     frobenius: int
     genus: int
-    # index of the generator on the last step of a shortest path to each
-    # residue, for witness backtrace; apery[0] = 0 has no step (-1)
-    via: tuple[int, ...]
 
     def is_member(self, n: int) -> bool:
         # negative n never passes: apery values are nonnegative
@@ -133,17 +126,15 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
     weight a_i, and apery[r] is the shortest distance from 0. Each generator
     is added in one pass around every cycle it induces on the residues,
     starting from the cycle's minimum, which is final (Boecker & Liptak,
-    2007). Time O(k * a1), memory O(a1).
+    2007). Distances start at the int bound + a1, past every Apery element
+    since F <= bound - 1. Time O(k * a1), memory O(a1).
     """
     bound = conductor_bound(A)
     check_size("table", bound + max(A.elements) + 1, "cells")
 
     a1 = A.elements[0]
-    dist = [math.inf] * a1
-    via = [-1] * a1
-    dist[0] = 0
-    for idx in range(1, A.k):
-        a = A.elements[idx]
+    dist = [0] + [bound + a1] * (a1 - 1)
+    for a in A.elements[1:]:
         d = math.gcd(a1, a)
         for p in range(d):
             r = min(range(p, a1, d), key=dist.__getitem__)
@@ -151,7 +142,6 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
                 nxt = (r + a) % a1
                 if dist[r] + a < dist[nxt]:
                     dist[nxt] = dist[r] + a
-                    via[nxt] = idx
                 r = nxt
 
     apery = tuple(dist)
@@ -162,26 +152,28 @@ def build_table(A: GeneratorSet) -> SemigroupTable:
         frobenius=max(apery) - a1,
         # apery[r] = r (mod a1), so the gaps of class r, floor(apery[r] / a1), sum exactly to this
         genus=(sum(apery) - a1 * (a1 - 1) // 2) // a1,
-        via=tuple(via),
     )
 
 
 def represent_from_table(n: int, table: SemigroupTable) -> tuple[int, ...] | None:
     """Coefficients r_i >= 0 with sum(a_i * r_i) = n over the table's generators, or None for a gap.
 
-    n = apery[r] + t * a1 with r = n mod a1; apery[r] is spelled out by
-    walking its shortest path back to residue 0, which visits each residue
-    at most once. The cost is O(k + a1) whatever the size of n.
+    n = apery[r] + t * a1 with r = n mod a1. From w = apery[r] the walk down the
+    Apery set steps back by the first generator a > a1 with apery[(r - a) % a1]
+    == w - a, as the last edge of a shortest path to r does. A generator that
+    fails once fails for the rest of the walk (w - a - a' in S puts w - a' in S),
+    so it steps by a2 while it can, then by a3, and so on: at most a1 - 1 steps
+    as w falls, O(k + a1) whatever the size of n.
     """
     if not table.is_member(n):
         return None
-    A = table.generators
-    a1 = A.elements[0]
+    apery, (a1, *steps) = table.apery, table.generators.elements
     r = n % a1
-    coeffs = [0] * A.k
-    coeffs[0] = (n - table.apery[r]) // a1
-    while r:
-        idx = table.via[r]
-        coeffs[idx] += 1
-        r = (r - A.elements[idx]) % a1
+    w = apery[r]
+    coeffs = [(n - w) // a1]
+    for a in steps:
+        count = 0
+        while apery[prev := (r - a) % a1] == w - a:  # never at residue 0, where w - a < 0
+            r, w, count = prev, w - a, count + 1
+        coeffs.append(count)
     return tuple(coeffs)

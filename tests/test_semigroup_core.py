@@ -264,6 +264,23 @@ class TestRepresent:
         assert sc.represent_from_table(7, t) is None
         assert sc.represent_from_table(0, t) == (0, 0)
 
+    @pytest.mark.parametrize("raw", [[4, 6, 9, 10], [2, 2, 5], [1, 7], [7, 10, 12, 15, 19]])
+    def test_apery_walk_against_brute_force(self, raw):
+        # a redundant generator (10 = 4 + 6), a duplicate, a1 = 1 and k = 5: the walk down the
+        # Apery set needs no table beyond it, and its entries are ints, never a float sentinel
+        assert sc.SemigroupTable._fields == ("generators", "bound", "apery", "frobenius", "genus")
+        A = sc.validate_generators(raw)
+        t = sc.build_table(A)
+        assert all(type(w) is int for w in t.apery)
+        limit = t.bound + 2 * max(raw)
+        for n, member in enumerate(naive_members(raw, limit)):
+            rep = sc.represent_from_table(n, t)
+            if member:
+                assert rep is not None and len(rep) == len(A.elements) and min(rep) >= 0
+                assert sum(map(operator.mul, A.elements, rep)) == n
+            else:
+                assert rep is None
+
     def test_witness_soundness(self):
         for elements in [(3, 5), (3, 4, 5), (4, 9), (5, 7, 11)]:
             A = gens(*elements)
