@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from itertools import compress, takewhile
 from types import SimpleNamespace
 
@@ -36,7 +36,7 @@ def _emit(args, inputs: dict, result: dict, text_lines: Callable[[], list[str]],
     With fragment, the one result value equal to _SLOT is written as the JSON
     text whose pieces fragment() returns: a genus-sized gap array printed piece
     by piece, never built as one string, or an order-sized coefficient array
-    that _int_array writes with no Python step per coefficient.
+    that _int_array writes from digit columns or in blocks of 16,384 values.
     """
     if args.json:
         text = json.dumps({"command": args.command, "inputs": inputs, "result": result}, sort_keys=True)
@@ -77,6 +77,9 @@ def _gap_pieces(table: sc.SemigroupTable, sep: str) -> list[str]:
     return pieces
 
 
+_ONE_DIGIT = bytes(range(10))  # the byte values written as one digit
+
+
 @functools.cache
 def _digit_columns() -> tuple[bytes, bytes, bytes]:
     """Tables from a byte v to the hundreds, tens and ones ASCII digit of v, "\0" for a leading zero."""
@@ -84,34 +87,38 @@ def _digit_columns() -> tuple[bytes, bytes, bytes]:
     return tuple(bytes(digits[k] for digits in padded) for k in range(3))
 
 
-def _int_array(values: tuple[int, ...]) -> str:
-    """json.dumps(values), byte for byte, for a tuple of ints.
+def _int_array(values: Sequence[int]) -> list[str]:
+    """Pieces that concatenate to json.dumps(list(values)), byte for byte, for a sequence of ints.
 
-    When every value is in 0..255, bytes(values) holds them and each value is
-    the record ", ddd" of a buffer: three translate tables give its digit
-    columns, written by strided slices, and one translate drops the "\0" of
-    the leading zeros and of the first record's ", ". Otherwise bytes() raises
-    ValueError and one %-format writes the array.
+    A bytes-like values is read straight into the digit columns of a buffer
+    of fixed records, one piece: ", d" when every value is one digit, else
+    ", ddd", whose "\0" of leading zeros one translate drops; the first
+    record's ", " becomes "[". Anything else is one %d format per block of
+    16,384 values, a piece each, so no template, tuple of every value or
+    joined copy of the text is alive at once.
     """
     n = len(values)
     if not n:
-        return "[]"
-    try:
-        octets = bytes(values)
-    except ValueError:
-        return ("[" + "%d, " * (n - 1) + "%d]") % values
-    buf = bytearray(b", \0\0\0") * n
-    buf[:2] = b"\0["
-    buf += b"]"  # in place: `* n + b"]"` would hold two buffers at once
-    for k, table in enumerate(_digit_columns(), 2):
-        buf[k::5] = octets.translate(table)
-    del octets  # each order-sized copy is dropped once the next is made
-    ascii_text = buf.translate(None, b"\0")
-    del buf
-    return ascii_text.decode()
+        return ["[]"]
+    if not isinstance(values, (bytes, bytearray)):
+        template = ", %d" * min(n, 16384)
+        pieces = ["[", *(template[: 4 * len(block)] % tuple(block)
+                         for block in (values[i : i + 16384] for i in range(0, n, 16384))), "]"]
+        pieces[1] = pieces[1][2:]  # the first value has no ", " before it
+        return pieces
+    one_digit = not values.translate(None, _ONE_DIGIT)
+    columns = _digit_columns()[2:] if one_digit else _digit_columns()
+    buf = bytearray(b", " + b"\0" * len(columns)) * n
+    for k, table in enumerate(columns, 2):
+        buf[k :: 2 + len(columns)] = values.translate(table)
+    buf[:2] = b"["  # shrinks the front in place
+    buf += b"]"
+    if not one_digit:
+        buf = buf.translate(None, b"\0")  # the padded buffer is dropped once this copy is made
+    return [buf.decode()]
 
 
-def _series_text(c: tuple[int, ...]) -> str:
+def _series_text(c: Sequence[int]) -> str:
     """The truncated series c_0 + c_1*q + ... + c_N*q^N + O(q^{N+1}), every coefficient written."""
     # the terms from q^2 on are joined 16,384 at a time, never one string per term at once
     blocks = (" + ".join(map("{}*q^{}".format, c[n : n + 16384], range(n, n + 16384)))
@@ -275,7 +282,7 @@ def _cmd_hilbert(args) -> int:
     coefficients = gh.hilbert_series(args.which, a, b, order)
     inputs = {"which": args.which, "a": a, "b": b, "order": order}
     result = {**inputs, "coefficients": _SLOT}
-    return _emit(args, inputs, result, lambda: [_series_text(coefficients)], lambda: [_int_array(coefficients)])
+    return _emit(args, inputs, result, lambda: [_series_text(coefficients)], lambda: _int_array(coefficients))
 
 
 class _Command:

@@ -28,7 +28,7 @@ class TruncatedSeries:
     """Exact integer coefficients c_0..c_N of a formal power series mod q^{N+1}, bench-only.
 
     No code in semialg builds one: hilbert_series returns plain coefficient
-    tuples. The class and its product stay because bench/tracing.py patches
+    sequences. The class and its product stay because bench/tracing.py patches
     TruncatedSeries.__mul__ by name.
     """
 
@@ -53,25 +53,30 @@ class TruncatedSeries:
         return TruncatedSeries(n, out)
 
 
-def _denumerants(a: int, b: int, nmax: int) -> list[int]:
-    """p_{a,b}(0..nmax), the coefficients of 1/((1-q^a)(1-q^b)), for a coprime pair; [] for nmax < 0.
+def _denumerants(a: int, b: int, nmax: int) -> bytearray | list[int]:
+    """p_{a,b}(0..nmax), the coefficients of 1/((1-q^a)(1-q^b)), for a coprime pair; empty for nmax < 0.
 
     The exact sequence 0 -> E(-ab) -> E -> R -> 0 gives H_E = H_R / (1 - q^ab), and
     every n >= ab lies in S(a, b), so p(n) = n // ab + [n mod ab in S]. The members
     below ab are j*t + i*s with j < s, (s, t) the sorted pair: min(s, N/t + 1) slices,
-    one per j*t, lay them into a bytearray. At most 7 translates by _RAMP double
-    that block to the period 128ab, p(n + c*ab) = p(n) + c for c < 128, whose values
-    fit a byte; past it one C-level map per period adds the lift: N/(128ab) maps.
+    one per j*t, lay them into a bytearray, and translates by _RAMP double it, since
+    p(n + c*ab) = p(n) + c. Every p(n) with n < 255ab fits a byte: up to that nmax,
+    at most 8 translates reach it and the bytearray is the return value. Past it, 7
+    reach the period 128ab, and one C-level map per period adds the lift to a list
+    of ints: N/(128ab) maps.
     """
     s, t = sorted((a, b))
     ab, size = a * b, nmax + 1
+    top = size if size <= 255 * ab else 128 * ab  # the length of the bytearray
     block = bytearray(max(0, min(ab, size)))
     for start in range(0, len(block), t):
         block[start::s] = b"\1" * len(range(start, len(block), s))
-    for shift in (1, 2, 4, 8, 16, 32, 64):  # the block holds p(0..shift*ab - 1) before each
-        if len(block) >= size:
+    for shift in (1, 2, 4, 8, 16, 32, 64, 128):  # the block holds p(0..shift*ab - 1) before each
+        if len(block) >= top:
             break
-        block += block[: size - len(block)].translate(_RAMP[shift : shift + 256])
+        block += block[: top - len(block)].translate(_RAMP[shift : shift + 256])
+    if top == size:
+        return block
     p = list(block)
     for base in range(128 * ab, size, 128 * ab):  # the block is the whole period here
         p += map(add, block[: size - base], repeat(base // ab))
@@ -178,30 +183,34 @@ def pair_checks(a: int, b: int) -> dict[str, bool]:
     }
 
 
-def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> tuple[int, ...]:
+def hilbert_series(which: str, a: int | None, b: int | None, order: int) -> bytes | range | tuple[int, ...]:
     """The coefficients c_0..c_order of one of the five closed-form Hilbert series.
 
-    `which` is one of SERIES_KINDS. The univariate and degree-graded series
-    take no pair: a and b must be None there, and are needed for the other
-    three. Only semigroup_ring builds the semigroup table, and it builds
-    nothing else.
+    The sequence is the one the closed form builds, never copied into ints:
+    bytes for univariate and semigroup_ring, and for full_ring_frobenius below
+    order 255ab and kernel below 256ab, where _denumerants returns bytes;
+    range(1, order + 2) for full_ring_degree; a tuple for the two denumerant
+    kinds past that byte range. `which` is one of SERIES_KINDS. The
+    univariate and degree-graded series take no pair: a and b must be None
+    there, and are needed for the other three. Only semigroup_ring builds the
+    semigroup table, and it builds nothing else.
     """
     check_order(order)
     if which in ("univariate", "full_ring_degree"):
         if a is not None or b is not None:
             raise ValueError(f"series kind {which!r} takes no pair (a, b)")
         if which == "univariate":
-            return (1,) * (order + 1)
+            return b"\1" * (order + 1)
         # 1/(1-q)^2 = sum (n+1) q^n
-        return tuple(range(1, order + 2))
+        return range(1, order + 2)
     if which not in SERIES_KINDS:
         raise ValueError(f"unknown series kind {which!r}")
     if a is None or b is None:
         raise ValueError(f"series kind {which!r} needs the pair (a, b)")
     if which == "semigroup_ring":
-        return tuple(_ring_dims(a, b, order))
+        return bytes(_ring_dims(a, b, order))
     validate_pair(a, b)
-    if which == "full_ring_frobenius":
-        return tuple(_denumerants(a, b, order))
-    shifted = _denumerants(a, b, order - a * b)  # dim K_n = p(n - ab): no p past order - ab is built
-    return (0,) * (order + 1 - len(shifted)) + tuple(shifted)
+    # dim K_n = p(n - ab): no p past order - ab is built, and the kernel's zeros go in front, in place
+    p = _denumerants(a, b, order if which == "full_ring_frobenius" else order - a * b)
+    p[:0] = bytes(order + 1 - len(p))
+    return bytes(p) if isinstance(p, bytearray) else tuple(p)

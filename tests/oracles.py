@@ -9,6 +9,8 @@ import argparse
 import functools
 import math
 import re
+from itertools import accumulate, compress, count, cycle, islice
+from operator import add, ne
 
 
 def naive_members(generators, limit):
@@ -81,10 +83,15 @@ def partition_tally(a, b, order):
 
 
 def euler_product(a, b, order):
-    """The coefficients of 1/((1-q^a)(1-q^b)) up to q^order: the multiples of a, then one pass adding p(n - b)."""
-    p = [int(n % a == 0) for n in range(order + 1)]
-    for n in range(b, order + 1):
-        p[n] += p[n - b]
+    """The coefficients of 1/((1-q^a)(1-q^b)) up to q^order, by the recurrence p(n) = p(n - b) + [a divides n].
+
+    Along each residue class r, r + b, r + 2b, ... mod b the recurrence is a
+    running sum of [a divides n], whose values repeat every a steps.
+    """
+    p = [0] * (order + 1)
+    for r in range(min(b, order + 1)):
+        pattern = [int(n % a == 0) for n in range(r, r + a * b, b)]
+        p[r::b] = accumulate(islice(cycle(pattern), len(range(r, order + 1, b))))
     return p
 
 
@@ -100,7 +107,7 @@ def sequence_failures(a, b, orders):
     full = euler_product(a, b, top)
     kernel = ([0] * (a * b) + full)[: top + 1]
     ring = naive_members((a, b), top)
-    first = next((n for n, (e, r, k) in enumerate(zip(full, ring, kernel)) if e != r + k), None)
+    first = next(compress(count(), map(ne, full, map(add, ring, kernel))), None)  # the first n where they differ
     return [first if first is not None and first <= nmax else None for nmax in orders]
 
 

@@ -125,7 +125,7 @@ def test_criterion_6_euler_product():
     ok = True
     for a, b in [(3, 5), (2, 3), (4, 7), (5, 8)]:
         series = gh.hilbert_series("full_ring_frobenius", a, b, 500)
-        ok &= series == tuple(partition_tally(a, b, 500))
+        ok &= tuple(series) == tuple(partition_tally(a, b, 500))
     report("6 (Euler product matches partition counts to order 500)", ok)
 
 

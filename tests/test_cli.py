@@ -599,7 +599,7 @@ class TestHilbertCommand:
         payload = json.loads(out)
         s = gh.hilbert_series("kernel", 3, 5, 25)
         assert payload["result"]["order"] == len(s) - 1
-        assert tuple(payload["result"]["coefficients"]) == s
+        assert tuple(payload["result"]["coefficients"]) == tuple(s)
 
 
 def series_text(coefficients):
@@ -762,14 +762,39 @@ class TestRankNullityCommand:
         assert run(capsys, "verify", "3", "5")[0] == 0
 
 
-# one value range per drawn tuple, so that both writer paths run: the bytes columns
-# (every value in 0..255) and the %-format (any other value)
+# one value range per drawn sequence, so that every writer path runs: the one-digit and
+# the three-digit columns (bytes or bytearray) and the %-format (a tuple, any value)
 INT_ARRAYS = st.one_of(
-    *(st.lists(values, max_size=300).map(tuple) for values in (
-        st.integers(0, 9), st.integers(0, 255), st.integers(250, 260), st.integers(0, 10**6),
-        st.integers(-300, 300), st.integers(0, 255) | st.just(10**30),
-    ))
+    *(st.lists(values, max_size=300).map(kind) for values, kinds in (
+        (st.integers(0, 9), (bytes, bytearray, tuple)), (st.integers(0, 255), (bytes, bytearray, tuple)),
+        (st.integers(250, 260), (tuple,)), (st.integers(0, 10**6), (tuple,)), (st.integers(-300, 300), (tuple,)),
+        (st.integers(0, 255) | st.just(10**30), (tuple,)),
+    ) for kind in kinds)
 )
+
+
+def writer_cases():
+    """The sequence kinds hilbert_series returns, and a tuple of the same values, at the writer's edges.
+
+    No value, order 0, the last one-digit value 9 and the first two-digit 10,
+    the byte edges 254, 255 and 256, the denumerants of (3, 5) at orders
+    128ab - 1, 128ab and 128ab + 1, ab = 15, and the %-format's blocks of
+    16,384 values.
+    """
+    byte_valued = {
+        "empty": [], "order-0": [1], "9": [0, 9, 3, 9], "10": [9, 10, 0],
+        "254": list(range(255)), "255": list(range(256)),
+        **{name: euler_product(3, 5, 128 * 15 + d) for name, d in (("128ab-1", -1), ("128ab", 0), ("128ab+1", 1))},
+    }
+    for name, values in byte_valued.items():
+        for kind in (bytes, bytearray, tuple):
+            yield pytest.param(kind(values), id=f"{kind.__name__}-{name}")
+    for last in (1, 9, 10, 254, 255, 256):  # full_ring_degree at order last - 1
+        yield pytest.param(range(1, last + 1), id=f"range-{last}")
+    yield pytest.param(tuple(range(257)), id="tuple-256")
+    for n in (16383, 16384, 16385, 32769):
+        yield pytest.param(range(-5, n - 5), id=f"range-{n}-values")
+        yield pytest.param(tuple(range(-5, n - 5)), id=f"tuple-{n}-values")
 
 
 class TestIntArray:
@@ -778,7 +803,11 @@ class TestIntArray:
     @settings(max_examples=300, deadline=None)
     @given(INT_ARRAYS)
     def test_matches_json_dumps(self, values):
-        assert cli._int_array(values) == json.dumps(values)
+        assert "".join(cli._int_array(values)) == json.dumps(list(values))
+
+    @pytest.mark.parametrize("values", writer_cases())
+    def test_every_sequence_kind(self, values):
+        assert "".join(cli._int_array(values)) == json.dumps(list(values))
 
     # the digit-width edges 9/10, 99/100 and 255/256, in both orders, and every byte
     @pytest.mark.parametrize(
@@ -787,7 +816,7 @@ class TestIntArray:
          (-1, 0), (10**30,), tuple(range(256)), tuple(range(255, -1, -1)), tuple(range(250, 261))],
     )
     def test_width_edges(self, values):
-        assert cli._int_array(values) == json.dumps(values)
+        assert "".join(cli._int_array(values)) == json.dumps(values)
 
     def test_import_builds_no_table(self):
         src = os.path.dirname(os.path.dirname(semialg.__file__))

@@ -70,7 +70,7 @@ class TestHilbertSeries:
 
     def test_full_ring_degree(self):
         s = gh.hilbert_series("full_ring_degree", None, None, 8)
-        assert s == tuple(n + 1 for n in range(9))
+        assert tuple(s) == tuple(n + 1 for n in range(9))
 
     def test_full_ring_frobenius(self):
         s = gh.hilbert_series("full_ring_frobenius", 3, 5, 40)
@@ -96,12 +96,12 @@ class TestHilbertSeries:
             return tuple(series.get(n, 0) for n in range(order + 1))
 
         g1 = dict.fromkeys(range(order + 1), 1)
-        assert gh.hilbert_series("full_ring_degree", None, None, order) == truncated(sparse_mul(g1, g1))
+        assert tuple(gh.hilbert_series("full_ring_degree", None, None, order)) == truncated(sparse_mul(g1, g1))
         for a, b in [(2, 3), (3, 5), (4, 7), (9, 11), (13, 17)]:
             q_a, q_b = (dict.fromkeys(range(0, order + 1, m), 1) for m in (a, b))
             product = sparse_mul(q_a, q_b)
-            assert gh.hilbert_series("full_ring_frobenius", a, b, order) == truncated(product)
-            assert gh.hilbert_series("kernel", a, b, order) == truncated(sparse_mul(product, {a * b: 1}))
+            assert tuple(gh.hilbert_series("full_ring_frobenius", a, b, order)) == truncated(product)
+            assert tuple(gh.hilbert_series("kernel", a, b, order)) == truncated(sparse_mul(product, {a * b: 1}))
 
     def test_semigroup_series_matches_naive_members(self):
         # N < F stops the gap slices of some residues short of Ap[r]; N >= F keeps every gap
@@ -113,7 +113,7 @@ class TestHilbertSeries:
                 members = naive_members((a, b), 3 * a * b)
                 for nmax in (0, F - 1, F, F + 1, 3 * a * b):
                     expected = tuple(int(m) for m in members[: nmax + 1])
-                    assert gh.hilbert_series("semigroup_ring", a, b, nmax) == expected
+                    assert tuple(gh.hilbert_series("semigroup_ring", a, b, nmax)) == expected
 
     def test_order_over_cap_refused(self, monkeypatch):
         monkeypatch.setenv("SEMIGROUP_MAX_BOUND", "50")
@@ -133,7 +133,7 @@ class TestHilbertSeries:
 
         monkeypatch.setattr(gh, "_denumerants", refused)
         s = gh.hilbert_series("semigroup_ring", 5, 9, 40)
-        assert s == tuple(int(m) for m in naive_members((5, 9), 40))
+        assert tuple(s) == tuple(int(m) for m in naive_members((5, 9), 40))
 
     @pytest.mark.parametrize("which", ["univariate", "full_ring_degree"])
     @pytest.mark.parametrize("a, b", [(3, 5), (3, None), (None, 5)])
@@ -147,12 +147,18 @@ class TestHilbertSeries:
         with pytest.raises(sc.BoundTooLargeError, match="series of 6 coefficients exceeds"):
             gh.hilbert_series(which, a, b, 5)
 
-    @pytest.mark.parametrize("which, a, b", [("univariate", None, None), ("full_ring_degree", None, None),
-                                             ("full_ring_frobenius", 3, 5), ("semigroup_ring", 3, 5),
-                                             ("kernel", 3, 5)])
-    def test_returns_a_tuple_of_ints(self, which, a, b):
-        s = gh.hilbert_series(which, a, b, 20)
-        assert type(s) is tuple and len(s) == 21 and all(type(c) is int for c in s)
+    # with ab = 15, full_ring_frobenius is bytes below order 255ab and kernel below 256ab
+    @pytest.mark.parametrize(
+        "which, a, b, order, sequence",
+        [("univariate", None, None, 20, bytes), ("semigroup_ring", 3, 5, 20, bytes),
+         ("full_ring_degree", None, None, 20, range), ("full_ring_degree", None, None, 300, range),
+         ("full_ring_frobenius", 3, 5, 20, bytes), ("full_ring_frobenius", 3, 5, 255 * 15 - 1, bytes),
+         ("full_ring_frobenius", 3, 5, 255 * 15, tuple), ("kernel", 3, 5, 20, bytes),
+         ("kernel", 3, 5, 256 * 15 - 1, bytes), ("kernel", 3, 5, 256 * 15, tuple)],
+    )
+    def test_returns_the_sequence_of_its_closed_form(self, which, a, b, order, sequence):
+        s = gh.hilbert_series(which, a, b, order)
+        assert type(s) is sequence and len(s) == order + 1 and all(type(c) is int for c in s)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -182,9 +188,9 @@ class TestWeightOne:
             table = sc.build_table(sc.validate_pair(a, c))
             assert (table.frobenius, table.genus) == (max(gaps, default=-1), len(gaps)) == (-1, 0)
             assert gh.k_polynomial(table) == k == {0: 1, b: -1}
-            assert gh.hilbert_series("semigroup_ring", a, c, order) == tuple(ring.values())
-            assert gh.hilbert_series("full_ring_frobenius", a, c, order) == full
-            assert gh.hilbert_series("kernel", a, c, order) == kernel
+            assert tuple(gh.hilbert_series("semigroup_ring", a, c, order)) == tuple(ring.values())
+            assert tuple(gh.hilbert_series("full_ring_frobenius", a, c, order)) == full
+            assert tuple(gh.hilbert_series("kernel", a, c, order)) == kernel
             assert all(gh.pair_checks(a, c).values())
             assert gh.rank_nullity_failure(a, c, 10 * b) is None
             assert dense_functional_equation(a, c)
@@ -198,15 +204,29 @@ class TestEulerProduct:
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
             gh.hilbert_series("full_ring_frobenius", 3, 5, order)
 
-    # the denumerants are one byte period of 128ab coefficients, lifted by 128 per period past it
+    # the denumerants are bytes below 255ab; past it, one period of 128ab lifted by 128 per period
     @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (5, 8), (5, 2), (1, 4), (4, 1)])
-    @pytest.mark.parametrize("periods, extra", [(0, 500), (128, -1), (128, 0), (128, 1), (300, 7)],
-                             ids=["500", "128ab-1", "128ab", "128ab+1", "300ab+7"])
+    @pytest.mark.parametrize(
+        "periods, extra",
+        [(0, 500), (128, -1), (128, 0), (128, 1), (300, 7), (255, -1), (255, 0), (256, -1), (256, 0)],
+        ids=["500", "128ab-1", "128ab", "128ab+1", "300ab+7", "255ab-1", "255ab", "256ab-1", "256ab"],
+    )
     def test_against_the_euler_product(self, a, b, periods, extra):
         order = periods * a * b + extra
-        full = gh.hilbert_series("full_ring_frobenius", a, b, order)
+        full = tuple(gh.hilbert_series("full_ring_frobenius", a, b, order))
         assert full == tuple(euler_product(a, b, order))
-        assert gh.hilbert_series("kernel", a, b, order) == ((0,) * (a * b) + full)[: order + 1]
+        assert tuple(gh.hilbert_series("kernel", a, b, order)) == ((0,) * (a * b) + full)[: order + 1]
+
+    # a bump in the bytearray of _denumerants (at a and 128ab) and in its list past 255ab
+    @pytest.mark.parametrize("degree, order, sequence", [(3, 200 * 15, bytes), (128 * 15, 200 * 15, bytes),
+                                                         (255 * 15 + 1, 300 * 15 + 7, tuple)])
+    def test_bumped_denumerant_differs_from_the_euler_product(self, monkeypatch, degree, order, sequence):
+        bump_denumerant(monkeypatch, lambda a, b: degree)
+        for which, shift in (("full_ring_frobenius", 0), ("kernel", 15)):
+            s = gh.hilbert_series(which, 3, 5, order)
+            expected = [0] * shift + euler_product(3, 5, order - shift)
+            assert type(s) is sequence
+            assert next(n for n, (c, e) in enumerate(zip(s, expected)) if c != e) == degree + shift
 
 
 class TestSeriesIdentity:
@@ -344,6 +364,12 @@ class TestDenseOracles:
         assert dense_functional_equation(a, b, f=f)
         del f[1]  # 1 is a gap of every admissible pair; the degree F stays
         assert not dense_functional_equation(a, b, f=f)
+
+    # a weight of 1 and pairs with a common factor too: the recurrence needs no coprime pair
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 5), (5, 3), (4, 7), (1, 4), (4, 1), (1, 1), (2, 4), (6, 4)])
+    def test_euler_product_counts_the_partitions(self, a, b):
+        for order in (0, 1, a * b, 50):
+            assert euler_product(a, b, order) == [naive_partition_count(a, b, n) for n in range(order + 1)]
 
     def test_failing_pair_is_read_by_prefix(self):
         # S(2, 4) is not numerical: p(4) = 2 counts 2 + 2 and 4, and dim R_4 + dim K_4 is 1 + 0
